@@ -20,11 +20,16 @@ SpillBound, and retains the ``D^2 + 3D`` guarantee while reaching
 
 Replacement plans come from the POSP plan universe plus a constrained
 optimizer call ("cheapest plan spilling on e_j"), mirroring the engine
-hook described in §6.1.
+hook described in §6.1. The universe is the plans the build registered:
+plans that other probes registered into the shared space (earlier runs',
+or earlier parts' of this run) are not candidates, so an answer never
+depends on what ran before
+(:func:`repro.algorithms.alignment.cheapest_spilling_plan`).
 """
 
 import numpy as np
 
+from repro.algorithms.alignment import cheapest_spilling_plan
 from repro.algorithms.base import ExecutionRecord
 from repro.algorithms.spillbound import SpillBound
 
@@ -212,23 +217,10 @@ class AlignedBound(SpillBound):
         # Induced PSA: replace the optimal plan at some location of
         # S = {q in IC_i : q.dim == extreme} with a plan spilling on the
         # leader (paper §5.2.1).
-        s_mask = members.coords[:, dim] == extreme
-        s_coords = members.coords[s_mask]
-        best = None
-        for plan in self.space.plans:
-            if self._spill_target(plan.id, remaining_key) != leader:
-                continue
-            costs = plan.cost[tuple(s_coords.T)]
-            pick = int(np.argmin(costs))
-            cost = float(costs[pick])
-            if best is None or cost < best[0]:
-                best = (cost, plan, tuple(int(c) for c in s_coords[pick]))
-        # One constrained-optimizer probe at the cheapest-opt location of S.
-        probe = self._constrained_probe(s_coords, leader, remaining_key)
-        if probe is not None:
-            cost, plan, location = probe
-            if best is None or cost < best[0]:
-                best = (cost, plan, location)
+        best = cheapest_spilling_plan(
+            self.space, members.coords[members.coords[:, dim] == extreme],
+            leader, lambda plan_id: self._spill_target(plan_id, remaining_key),
+            self._constrained_cache)
         if best is None:
             return None
         cost, plan, location = best
@@ -240,29 +232,6 @@ class AlignedBound(SpillBound):
             leader, plan, target[1], location,
             budget=cost, penalty=penalty, native=False,
         )
-
-    def _constrained_probe(self, s_coords, leader, remaining_key):
-        """Ask the optimizer for the cheapest leader-spilling plan at the
-        cheapest location of ``S``; register it into the plan universe."""
-        opt_costs = self.space.opt_cost[tuple(s_coords.T)]
-        location = tuple(int(c) for c in s_coords[int(np.argmin(opt_costs))])
-        key = (location, leader)
-        if key in self._constrained_cache:
-            plan_id = self._constrained_cache[key]
-            if plan_id is None:
-                return None
-        else:
-            result = self.space.optimize_at(location, spilling_on=leader)
-            if result is None:
-                self._constrained_cache[key] = None
-                return None
-            info = self.space.register_plan(result.plan)
-            self._constrained_cache[key] = info.id
-            plan_id = info.id
-        plan = self.space.plans[plan_id]
-        if self._spill_target(plan.id, remaining_key) != leader:
-            return None
-        return float(plan.cost[location]), plan, location
 
 
 def _lex_pick(coords):

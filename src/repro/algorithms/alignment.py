@@ -54,15 +54,19 @@ def analyse_alignment(space, contours=None, use_constrained=True):
     epps = space.query.epps
     all_epps = frozenset(epps)
     penalties = []
-    constrained_cache = {}
+    probes = {} if use_constrained else None
+
+    def target_of(plan_id):
+        choice = space.plans[plan_id].spill_target(all_epps)
+        return choice[0] if choice else None
+
     for i in range(len(contours)):
         members = contours.members(i)
         if members.is_empty:
             penalties.append(1.0)
             continue
-        targets = np.array([
-            _target(space, int(pid), all_epps) for pid in members.plan_ids
-        ], dtype=object)
+        targets = np.array([target_of(int(pid)) for pid in members.plan_ids],
+                           dtype=object)
         best = float("inf")
         for d, epp in enumerate(epps):
             extreme = int(members.coords[:, d].max())
@@ -70,49 +74,50 @@ def analyse_alignment(space, contours=None, use_constrained=True):
             if np.any(at_extreme & (targets == epp)):
                 best = 1.0
                 break
-            penalty = _induction_penalty(
-                space, members, at_extreme, epp, all_epps,
-                constrained_cache, use_constrained,
-            )
-            best = min(best, penalty)
+            found = cheapest_spilling_plan(
+                space, members.coords[at_extreme], epp, target_of, probes)
+            if found is not None:
+                cost, _plan, location = found
+                best = min(best, cost / space.optimal_cost(location))
         penalties.append(best)
     return ContourAlignmentReport(penalties)
 
 
-def _target(space, plan_id, remaining):
-    choice = space.plans[plan_id].spill_target(remaining)
-    return choice[0] if choice else None
+def cheapest_spilling_plan(space, coords, epp, target_of, probes=None):
+    """Cheapest plan spilling on ``epp`` at some location of ``coords``.
 
-
-def _induction_penalty(space, members, at_extreme, epp, remaining,
-                       cache, use_constrained):
-    coords = members.coords[at_extreme]
-    best_cost = None
-    best_location = None
-    for plan in space.plans:
-        if _target(space, plan.id, remaining) != epp:
+    The candidates are those of paper §5.2.1: the plans the space's
+    build registered (the POSP universe) plus one constrained-optimizer
+    probe -- the cheapest plan spilling on ``epp`` -- at the location of
+    ``coords`` with the cheapest optimal cost. A probe registers its
+    plan into the shared space, but plans that other probes registered
+    are never candidates, so the answer does not depend on which runs
+    came before. ``target_of(plan_id)`` names the epp a plan spills on;
+    ``probes`` memoizes probe plan ids per ``(location, epp)``, and
+    ``None`` skips the probe. Returns ``(cost, plan, location)``, or
+    ``None`` when no candidate spills on ``epp``.
+    """
+    best = None
+    for plan in space.built_plans:
+        if target_of(plan.id) != epp:
             continue
         costs = plan.cost[tuple(coords.T)]
         pick = int(np.argmin(costs))
         cost = float(costs[pick])
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_location = tuple(int(c) for c in coords[pick])
-    if use_constrained:
-        opt_costs = space.opt_cost[tuple(coords.T)]
-        location = tuple(int(c) for c in coords[int(np.argmin(opt_costs))])
-        key = (location, epp)
-        if key not in cache:
-            result = space.optimize_at(location, spilling_on=epp)
-            cache[key] = (
-                space.register_plan(result.plan).id if result else None
-            )
-        plan_id = cache[key]
-        if plan_id is not None and _target(space, plan_id, remaining) == epp:
-            cost = float(space.plans[plan_id].cost[location])
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_location = location
-    if best_cost is None:
-        return float("inf")
-    return best_cost / space.optimal_cost(best_location)
+        if best is None or cost < best[0]:
+            best = (cost, plan, tuple(int(c) for c in coords[pick]))
+    if probes is None:
+        return best
+    opt_costs = space.opt_cost[tuple(coords.T)]
+    location = tuple(int(c) for c in coords[int(np.argmin(opt_costs))])
+    key = (location, epp)
+    if key not in probes:
+        result = space.optimize_at(location, spilling_on=epp)
+        probes[key] = space.register_plan(result.plan).id if result else None
+    plan_id = probes[key]
+    if plan_id is not None and target_of(plan_id) == epp:
+        plan = space.plans[plan_id]
+        cost = float(plan.cost[location])
+        if best is None or cost < best[0]:
+            best = (cost, plan, location)
+    return best

@@ -26,19 +26,21 @@ Faults compose with cost-model noise: pass a :class:`NoisyEngine`
 (or any engine honouring the same contract and hiding the same truth)
 as ``base`` and the fault layer perturbs *its* outcomes.
 
-Decisions are drawn from ``default_rng((plan.seed, call_ordinal))`` so a
-given (plan, call sequence) pair is exactly reproducible, while retried
-executions see fresh draws (the ordinal advances) -- matching real
-transient faults, which do not chase a resubmitted query forever.
+Decisions come from the shared seeded primitive
+(:class:`repro.common.faults.SeededFaultPlan`): they are drawn from
+``default_rng((plan.seed, call_ordinal))`` so a given (plan, call
+sequence) pair is exactly reproducible, while retried executions see
+fresh draws (the ordinal advances) -- matching real transient faults,
+which do not chase a resubmitted query forever. :class:`FaultyEngine`
+applies :meth:`FaultPlan.fault_at` decisions; it draws nothing itself.
 """
-
-import numpy as np
 
 from repro.common.errors import (
     DiscoveryError,
     EngineCrashError,
     TransientEngineError,
 )
+from repro.common.faults import SeededFaultPlan
 from repro.engine.simulated import SimulatedEngine
 
 #: Bounds of the uniformly drawn fraction of an execution's expenditure
@@ -47,8 +49,8 @@ CRASH_SPEND_LO = 0.05
 CRASH_SPEND_HI = 0.95
 
 
-class FaultPlan:
-    """Declarative description of the adversity to inject.
+class FaultPlan(SeededFaultPlan):
+    """Declarative description of the engine adversity to inject.
 
     Rates are independent per-execution probabilities in ``[0, 1]``.
     ``drift_factor`` bounds the multiplicative meter inflation (drawn
@@ -58,100 +60,22 @@ class FaultPlan:
     tests and crash-at-contour-k reproductions.
     """
 
-    __slots__ = ("crash_rate", "transient_rate", "corruption_rate",
-                 "drift_rate", "drift_factor", "seed", "crash_on_calls",
-                 "transient_on_calls")
-
-    def __init__(self, crash_rate=0.0, transient_rate=0.0,
-                 corruption_rate=0.0, drift_rate=0.0, drift_factor=1.5,
-                 seed=0, crash_on_calls=(), transient_on_calls=()):
-        for name, rate in (("crash_rate", crash_rate),
-                           ("transient_rate", transient_rate),
-                           ("corruption_rate", corruption_rate),
-                           ("drift_rate", drift_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("%s must be in [0, 1], got %r"
-                                 % (name, rate))
-        if drift_factor < 1.0:
-            raise ValueError("drift_factor must be >= 1")
-        self.crash_rate = crash_rate
-        self.transient_rate = transient_rate
-        self.corruption_rate = corruption_rate
-        self.drift_rate = drift_rate
-        self.drift_factor = drift_factor
-        self.seed = seed
-        self.crash_on_calls = frozenset(crash_on_calls)
-        self.transient_on_calls = frozenset(transient_on_calls)
-
-    @property
-    def is_clean(self):
-        """True when the plan injects nothing at all."""
-        return (self.crash_rate == self.transient_rate ==
-                self.corruption_rate == self.drift_rate == 0.0
-                and not self.crash_on_calls
-                and not self.transient_on_calls)
-
-    @classmethod
-    def parse(cls, spec, seed=0):
-        """Build a plan from a CLI spec string.
-
-        ``spec`` is either a single float (used as the crash rate) or a
-        comma list of ``knob=value`` pairs with knobs ``crash``,
-        ``transient``, ``corrupt``, ``drift`` and ``drift_factor``,
-        e.g. ``"crash=0.2,corrupt=0.1"``.
-        """
-        keys = {"crash": "crash_rate", "transient": "transient_rate",
-                "corrupt": "corruption_rate", "drift": "drift_rate",
-                "drift_factor": "drift_factor"}
-        kwargs = {"seed": seed}
-        try:
-            kwargs["crash_rate"] = float(spec)
-            return cls(**kwargs)
-        except ValueError:
-            pass
-        for item in spec.split(","):
-            if not item.strip():
-                continue
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name not in keys:
-                raise ValueError(
-                    "unknown fault knob %r (expected one of %s)"
-                    % (name, ", ".join(sorted(keys))))
-            kwargs[keys[name]] = float(value)
-        return cls(**kwargs)
-
-    def to_dict(self):
-        """JSON-safe form; :meth:`from_dict` round-trips it exactly."""
-        return {
-            "crash_rate": self.crash_rate,
-            "transient_rate": self.transient_rate,
-            "corruption_rate": self.corruption_rate,
-            "drift_rate": self.drift_rate,
-            "drift_factor": self.drift_factor,
-            "seed": self.seed,
-            "crash_on_calls": sorted(self.crash_on_calls),
-            "transient_on_calls": sorted(self.transient_on_calls),
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        """Rebuild a plan serialized by :meth:`to_dict` (e.g. in another
-        process); the rebuilt plan injects the identical schedule."""
-        return cls(**payload)
+    RATES = {"crash": "crash_rate", "transient": "transient_rate",
+             "corrupt": "corruption_rate", "drift": "drift_rate"}
+    PARAMS = {"drift_factor": (1.5, 1.0)}
+    FORCED = {"crash": "crash_on_calls", "transient": "transient_on_calls"}
 
     def fault_at(self, ordinal, mode="execute", resolution=None):
-        """The decision the engine will take at call ``ordinal``.
+        """The decision the engine takes at call ``ordinal``.
 
-        Replicates :class:`FaultyEngine`'s draw order exactly --
-        transient, then crash (plus its lost-spend fraction), then for
-        spill executions the monitor corruption (plus the corrupted
-        index, which needs the dimension's ``resolution``), then meter
-        drift -- including the short-circuits (a transient consumes no
-        further draws, a crash aborts before drift). Returns a JSON-safe
-        dict with ``call``, ``fault`` (``"transient"``, ``"crash"``,
-        ``"corrupt"``, ``"drift"`` or ``None``) and the fault's drawn
-        parameters.
+        Draw order: transient, then crash (plus its lost-spend
+        fraction), then for spill executions the monitor corruption
+        (plus the corrupted index, which needs the dimension's
+        ``resolution``), then meter drift -- a transient consumes no
+        further draws and a crash aborts before drift. Returns a
+        JSON-safe dict with ``call``, ``fault`` (``"transient"``,
+        ``"crash"``, ``"corrupt"``, ``"drift"`` or ``None``) and the
+        fault's drawn parameters; a corrupted spill can also drift.
         """
         if mode not in ("execute", "spill"):
             raise ValueError("mode must be 'execute' or 'spill'")
@@ -159,52 +83,24 @@ class FaultPlan:
                 and resolution is None:
             raise ValueError(
                 "spill schedules with corruption need resolution=")
-        rng = np.random.default_rng((self.seed, ordinal))
-        if ordinal in self.transient_on_calls \
-                or rng.uniform() < self.transient_rate:
+        rng = self._rng(ordinal)
+        if self._fires("transient", rng, ordinal):
             return {"call": ordinal, "fault": "transient"}
-        if ordinal in self.crash_on_calls \
-                or rng.uniform() < self.crash_rate:
+        if self._fires("crash", rng, ordinal):
             fraction = rng.uniform(CRASH_SPEND_LO, CRASH_SPEND_HI)
             return {"call": ordinal, "fault": "crash",
                     "spend_fraction": float(fraction)}
         decision = {"call": ordinal, "fault": None}
-        if mode == "spill" and rng.uniform() < self.corruption_rate:
+        if mode == "spill" and self._fires("corrupt", rng, ordinal):
             decision["fault"] = "corrupt"
             decision["learned_index"] = int(
                 rng.integers(-1, int(resolution)))
-        if rng.uniform() < self.drift_rate:
+        if self._fires("drift", rng, ordinal):
             factor = rng.uniform(1.0, self.drift_factor)
             if decision["fault"] is None:
                 decision["fault"] = "drift"
             decision["drift_factor"] = float(factor)
         return decision
-
-    def schedule(self, calls, mode="execute", resolution=None):
-        """The first ``calls`` decisions (see :meth:`fault_at`).
-
-        Because draws are keyed by ``(seed, ordinal)``, the schedule is
-        a pure function of the plan -- any process that deserializes the
-        same plan computes the same schedule, which is what makes
-        fault-injection runs reproducible across crash/resume
-        boundaries.
-        """
-        return [self.fault_at(o, mode=mode, resolution=resolution)
-                for o in range(1, calls + 1)]
-
-    def describe(self):
-        """Short human-readable summary for reports."""
-        parts = []
-        for label, rate in (("crash", self.crash_rate),
-                            ("transient", self.transient_rate),
-                            ("corrupt", self.corruption_rate),
-                            ("drift", self.drift_rate)):
-            if rate:
-                parts.append("%s=%g" % (label, rate))
-        return ",".join(parts) or "clean"
-
-    def __repr__(self):
-        return "FaultPlan(%s, seed=%d)" % (self.describe(), self.seed)
 
 
 class FaultyEngine(SimulatedEngine):
@@ -248,67 +144,58 @@ class FaultyEngine(SimulatedEngine):
 
     # ------------------------------------------------------------------
 
-    def _draws(self):
-        """Advance the call ordinal; return (rng, forced) for the call."""
+    def _decide(self, mode, epp=None):
+        """Advance the call ordinal and take the plan's decision for it;
+        a transient fires here, before anything is spent."""
         self.calls += 1
-        rng = np.random.default_rng((self.plan.seed, self.calls))
-        return rng, self.calls
-
-    def _pre_faults(self, rng, ordinal):
-        """Faults that fire before any budget is spent."""
-        transient = (ordinal in self.plan.transient_on_calls or
-                     rng.uniform() < self.plan.transient_rate)
-        if transient:
+        resolution = None
+        if mode == "spill":
+            dim = self.space.query.epp_index(epp)
+            resolution = len(self.space.grid.values[dim])
+        decision = self.plan.fault_at(self.calls, mode=mode,
+                                      resolution=resolution)
+        if decision["fault"] == "transient":
             if self.tracer.enabled:
-                self.tracer.event("fault", kind="transient", call=ordinal)
+                self.tracer.event("fault", kind="transient", call=self.calls)
             raise TransientEngineError(
-                "injected transient failure at call %d" % ordinal)
+                "injected transient failure at call %d" % self.calls)
+        return decision
 
-    def _crash(self, rng, ordinal, spent):
-        crash = (ordinal in self.plan.crash_on_calls or
-                 rng.uniform() < self.plan.crash_rate)
-        if crash:
-            fraction = rng.uniform(CRASH_SPEND_LO, CRASH_SPEND_HI)
+    def _apply(self, decision, outcome):
+        """Apply the decision's post-execution faults to ``outcome``."""
+        ordinal = decision["call"]
+        if decision["fault"] == "crash":
+            lost = decision["spend_fraction"] * outcome.spent
             if self.tracer.enabled:
                 self.tracer.event("fault", kind="crash", call=ordinal,
-                                  lost=float(fraction * spent))
+                                  lost=float(lost))
             raise EngineCrashError(
-                "injected crash at call %d" % ordinal,
-                spent=fraction * spent)
-
-    def _drift(self, rng, ordinal, outcome):
-        if rng.uniform() < self.plan.drift_rate:
-            factor = rng.uniform(1.0, self.plan.drift_factor)
-            outcome.spent *= factor
+                "injected crash at call %d" % ordinal, spent=lost)
+        if decision["fault"] == "corrupt":
+            # Stale/garbage monitor readout: any index in [-1, res-1],
+            # independent of what the execution actually certified.
+            outcome.learned_index = decision["learned_index"]
+            if self.tracer.enabled:
+                self.tracer.event("fault", kind="corrupt", call=ordinal,
+                                  learned_index=outcome.learned_index)
+        if "drift_factor" in decision:
+            outcome.spent *= decision["drift_factor"]
             if self.tracer.enabled:
                 self.tracer.event("fault", kind="drift", call=ordinal,
-                                  factor=float(factor))
+                                  factor=decision["drift_factor"])
         return outcome
 
     # ------------------------------------------------------------------
 
     def execute(self, plan_info, budget):
-        rng, ordinal = self._draws()
-        self._pre_faults(rng, ordinal)
+        decision = self._decide("execute")
         inner = self.base if self.base is not None \
             else super(FaultyEngine, self)
-        outcome = inner.execute(plan_info, budget)
-        self._crash(rng, ordinal, outcome.spent)
-        return self._drift(rng, ordinal, outcome)
+        return self._apply(decision, inner.execute(plan_info, budget))
 
     def execute_spill(self, plan_info, epp, node, budget):
-        rng, ordinal = self._draws()
-        self._pre_faults(rng, ordinal)
+        decision = self._decide("spill", epp)
         inner = self.base if self.base is not None \
             else super(FaultyEngine, self)
-        outcome = inner.execute_spill(plan_info, epp, node, budget)
-        self._crash(rng, ordinal, outcome.spent)
-        if rng.uniform() < self.plan.corruption_rate:
-            # Stale/garbage monitor readout: any index in [-1, res-1],
-            # independent of what the execution actually certified.
-            res = len(self.space.grid.values[outcome.dim])
-            outcome.learned_index = int(rng.integers(-1, res))
-            if self.tracer.enabled:
-                self.tracer.event("fault", kind="corrupt", call=ordinal,
-                                  learned_index=outcome.learned_index)
-        return self._drift(rng, ordinal, outcome)
+        return self._apply(
+            decision, inner.execute_spill(plan_info, epp, node, budget))

@@ -62,11 +62,12 @@ class NoisyEngine(SimulatedEngine):
     def optimal_cost(self):
         """Oracle cost under the perturbed model: the cheapest *actual*
         (noisy) cost any POSP plan achieves at the truth. Noise can
-        reshuffle which plan that is, so the minimum is over all plans.
+        reshuffle which plan that is, so the minimum is over every plan
+        the build registered (never over plans later runs added).
         """
         return min(
             float(info.cost[self.qa_index]) * self._noise(info.id)
-            for info in self.space.plans
+            for info in self.space.built_plans
         )
 
     def _allowance(self, budget):

@@ -230,6 +230,17 @@ class ExplorationSpace:
         self._signatures[signature] = info
         return info
 
+    @property
+    def built_plans(self):
+        """The plans the build registered -- the POSP universe.
+
+        Plans registered after the build (AlignedBound's constrained
+        probes) are excluded: they accumulate in the shared space with
+        every run, so a search over them would depend on which runs
+        came before.
+        """
+        return self.plans[:self._surface_count]
+
     def optimize_at(self, index, spilling_on=None):
         """Exact DP call at a grid index; returns an :class:`OptimizedPlan`.
 

@@ -167,6 +167,11 @@ class SyntheticSpace:
     def optimal_plan(self, index):
         return self.plans[int(self.plan_at[index])]
 
+    @property
+    def built_plans(self):
+        """Every plan: synthetic spaces never grow after the build."""
+        return self.plans
+
     def optimize_at(self, index, spilling_on=None):
         """Constrained optimizer hook: synthetic spaces cannot invent
         new plans, so induced-alignment probes come up empty."""

@@ -61,8 +61,7 @@ class RowBackedEngine:
 
             self.row_engine = FaultyBackend(
                 self.row_engine,
-                BackendFaultPlan(fail_rate=float(fail),
-                                 seed=int(fail_seed)))
+                BackendFaultPlan(fail_rate=fail, seed=fail_seed))
         self.database = database
         #: Cost-model error allowance; every budget is scaled by (1+delta).
         self.delta = delta

@@ -384,9 +384,3 @@ class RowEngine(IRBackend):
             monitor.left_done = True
         return generate()
 
-
-def _find(plan, node_id):
-    for node in plan.walk():
-        if node.node_id == node_id:
-            return node
-    raise ExecutionError("plan has no node %r" % node_id)

@@ -363,9 +363,3 @@ def _concat_batches(chunks, left, right):
         for name in names
     }
 
-
-def _find(plan, node_id):
-    for node in plan.walk():
-        if node.node_id == node_id:
-            return node
-    raise ExecutionError("plan has no node %r" % node_id)

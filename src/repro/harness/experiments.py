@@ -37,22 +37,13 @@ from repro.session import SweepDriver, default_session
 from repro.query.query import Query, make_filter, make_join
 
 
-def _session():
-    return default_session()
-
-
-def _space_and_contours(query, resolution=None):
-    """Legacy helper, now a session call (kept for importers)."""
-    return _session().space_and_contours(query, resolution=resolution)
-
-
 # ----------------------------------------------------------------------
 # Fig. 8 -- MSO guarantees, PlanBouquet vs SpillBound
 
 
 def fig8_mso_guarantees(names=PAPER_SUITE, resolution=None, lam=0.2):
     report = Report("Fig. 8: MSO guarantees (MSOg)")
-    driver = SweepDriver(_session(), resolution=resolution, lam=lam)
+    driver = SweepDriver(default_session(), resolution=resolution, lam=lam)
     rows = []
     for name in names:
         pb = driver.algorithm("planbouquet", workload(name))
@@ -73,7 +64,7 @@ def fig8_mso_guarantees(names=PAPER_SUITE, resolution=None, lam=0.2):
 
 def fig9_dimensionality(resolution=None, lam=0.2):
     report = Report("Fig. 9: MSOg vs dimensionality (Q91)")
-    driver = SweepDriver(_session(), resolution=resolution, lam=lam)
+    driver = SweepDriver(default_session(), resolution=resolution, lam=lam)
     rows = []
     for query in q91_dimensional_ramp():
         pb = driver.algorithm("planbouquet", query)
@@ -93,7 +84,7 @@ def fig9_dimensionality(resolution=None, lam=0.2):
 def fig10_11_empirical(names=PAPER_SUITE, resolution=None, lam=0.2,
                        sweep_sample=None, rng=0):
     report = Report("Figs. 10 & 11: empirical MSO / ASO (PB vs SB)")
-    driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+    driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                          resolution=resolution, lam=lam)
     rows = [
         (name, cells["planbouquet"].mso, cells["spillbound"].mso,
@@ -116,7 +107,7 @@ def fig10_11_empirical(names=PAPER_SUITE, resolution=None, lam=0.2,
 def fig12_distribution(name="4D_Q91", resolution=None, lam=0.2,
                        sweep_sample=None, rng=0):
     report = Report("Fig. 12: sub-optimality distribution (%s)" % name)
-    driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+    driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                          resolution=resolution, lam=lam)
     cells = driver.grid([name], ("planbouquet", "spillbound"))[name]
     pb_hist = dict(suboptimality_histogram(cells["planbouquet"].sweep))
@@ -139,7 +130,7 @@ def fig12_distribution(name="4D_Q91", resolution=None, lam=0.2,
 def fig13_ab_mso(names=PAPER_SUITE, resolution=None, sweep_sample=None,
                  rng=0):
     report = Report("Fig. 13: empirical MSO (SB vs AB)")
-    driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+    driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                          resolution=resolution)
     rows = [
         (name, cells["spillbound"].mso, cells["alignedbound"].mso,
@@ -164,7 +155,8 @@ def table2_alignment(names=("3D_Q96", "4D_Q7", "4D_Q26", "4D_Q91",
     report = Report("Table 2: cost of enforcing contour alignment")
     rows = []
     for name in names:
-        space, contours = _space_and_contours(workload(name), resolution)
+        space, contours = default_session().space_and_contours(
+            workload(name), resolution=resolution)
         alignment = analyse_alignment(space, contours)
         rows.append((
             name,
@@ -191,7 +183,8 @@ def table3_trace(name="4D_Q91", resolution=None, qa_index=None,
                  algorithm_cls=SpillBound):
     """Per-contour drill-down of one discovery run (paper Table 3)."""
     query = workload(name)
-    space, contours = _space_and_contours(query, resolution)
+    space, contours = default_session().space_and_contours(
+        query, resolution=resolution)
     if qa_index is None:
         # A location in the upper-middle of the space, like the paper's
         # (shows several contours and a mid-flight exact learning).
@@ -251,7 +244,8 @@ def table4_ab_penalty(names=PAPER_SUITE, resolution=None,
     report = Report("Table 4: maximum penalty for AB")
     rows = []
     for name in names:
-        space, contours = _space_and_contours(workload(name), resolution)
+        space, contours = default_session().space_and_contours(
+            workload(name), resolution=resolution)
         ab = AlignedBound(space, contours)
         grid = space.grid
         max_penalty = 0.0
@@ -346,7 +340,7 @@ def wallclock_experiment(rng=11, resolution=12, delta=1.0, scale=1.0):
     database = generate_database(catalog, rng=rng, skew=skew)
     # The catalog is re-scaled per call under one query name, so this
     # space must bypass the content-addressed cache.
-    space, contours = _session().space_and_contours(
+    space, contours = default_session().space_and_contours(
         query, resolution=resolution, cache=False)
 
     report = Report("Wall-clock-style experiment (metered row executor)")
@@ -400,7 +394,7 @@ def wallclock_experiment(rng=11, resolution=12, delta=1.0, scale=1.0):
 def job_experiment(dims=3, resolution=None, sweep_sample=None, rng=0):
     """JOB Q1a: native worst-case MSO vs SB and AB empirical MSO."""
     query = job_q1a(dims)
-    driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+    driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                          resolution=resolution)
     cells = driver.grid([query], ("spillbound", "alignedbound"))[query.name]
     native = NativeOptimizer(cells["spillbound"].instance.space)
@@ -427,7 +421,7 @@ def ablation_cost_ratio(name="3D_Q15", ratios=(1.5, 1.8, 2.0, 2.5, 3.0),
     report = Report("Ablation: contour cost ratio (%s)" % name)
     rows = []
     for ratio in ratios:
-        driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+        driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                              resolution=resolution, ratio=ratio)
         record = next(driver.run([name], ("spillbound",)))
         contours = record.instance.contours
@@ -456,7 +450,7 @@ def ablation_cost_error(name="2D_Q91", deltas=(0.0, 0.1, 0.3, 0.5),
     """
     from repro.engine.noisy import inflated_guarantee
 
-    session = _session()
+    session = default_session()
     sb = session.algorithm("spillbound", query=name, resolution=resolution)
     report = Report("Ablation: cost-model error (%s)" % name)
     rows = []
@@ -505,7 +499,7 @@ def fault_sweep(name="2D_Q91", rates=(0.0, 0.05, 0.1, 0.2, 0.4),
     from repro.robustness.durable import CircuitBreaker, Deadline
     from repro.session import EngineSpec
 
-    session = _session()
+    session = default_session()
     algorithm = session.algorithm("spillbound", query=name,
                                   resolution=resolution)
     space = algorithm.space
@@ -591,7 +585,7 @@ def ab_average_case(names=PAPER_SUITE, resolution=None,
     """AB vs SB on ASO and distribution (the §6.4 analyses the paper
     defers to its technical report [14])."""
     report = Report("AB vs SB: average case and distribution")
-    driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+    driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                          resolution=resolution)
     rows = [
         (name,
@@ -615,7 +609,7 @@ def ablation_anorexic(name="4D_Q91", lambdas=(0.0, 0.1, 0.2, 0.4, 1.0),
     report = Report("Ablation: anorexic reduction threshold (%s)" % name)
     rows = []
     for lam in lambdas:
-        driver = SweepDriver(_session(), sample=sweep_sample, rng=rng,
+        driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
                              resolution=resolution, lam=lam)
         record = next(driver.run([name], ("planbouquet",)))
         pb = record.instance

@@ -1,8 +1,8 @@
 """Seeded fault injection for IR execution backends.
 
-PR 1's :class:`~repro.engine.faulty.FaultPlan` injects adversity at the
-*engine* contract (crashes with partial spend, transients, monitor
-corruption); this module injects it one layer down, at the
+The engine-level :class:`~repro.engine.faulty.FaultPlan` injects
+adversity at the *engine* contract (crashes with partial spend,
+transients, monitor corruption); this module injects it one layer down, at the
 :class:`~repro.ir.contracts.IRBackend` boundary -- the substrate itself
 (sqlite, the vectorized engine) going away mid-service. That is the
 failure mode the serving daemon's backend-failover ladder exists for:
@@ -12,19 +12,19 @@ an unavailable backend is not retryable *on that backend*, so
 past the graceful-degradation guard to whoever can pick a different
 substrate.
 
-Decisions are drawn from ``default_rng((plan.seed, call_ordinal))``,
-exactly the keying discipline of the engine-level plan: a
-(plan, call-sequence) pair is reproducible in any process, and
+Decisions come from the same seeded primitive as the engine-level plan
+(:class:`repro.common.faults.SeededFaultPlan`, keyed
+``default_rng((plan.seed, call_ordinal))``): a (plan, call-sequence)
+pair is reproducible in any process, and
 :meth:`BackendFaultPlan.schedule` computes the injected schedule
 without running anything.
 """
 
-import numpy as np
-
 from repro.common.errors import BackendUnavailableError
+from repro.common.faults import SeededFaultPlan
 
 
-class BackendFaultPlan:
+class BackendFaultPlan(SeededFaultPlan):
     """Declarative description of backend outages to inject.
 
     ``fail_rate`` is the independent per-``run()`` probability of the
@@ -32,76 +32,14 @@ class BackendFaultPlan:
     specific 1-based call ordinals regardless of the rate.
     """
 
-    __slots__ = ("fail_rate", "seed", "fail_on_calls")
-
-    def __init__(self, fail_rate=0.0, seed=0, fail_on_calls=()):
-        if not 0.0 <= fail_rate <= 1.0:
-            raise ValueError(
-                "fail_rate must be in [0, 1], got %r" % (fail_rate,))
-        self.fail_rate = float(fail_rate)
-        self.seed = int(seed)
-        self.fail_on_calls = frozenset(int(c) for c in fail_on_calls)
-
-    @property
-    def is_clean(self):
-        """True when the plan injects nothing at all."""
-        return self.fail_rate == 0.0 and not self.fail_on_calls
-
-    @classmethod
-    def parse(cls, spec, seed=0):
-        """``"0.3"`` or ``"fail=0.3"`` -> a plan (CLI/spec vocabulary)."""
-        try:
-            return cls(fail_rate=float(spec), seed=seed)
-        except (TypeError, ValueError):
-            pass
-        kwargs = {"seed": seed}
-        for item in str(spec).split(","):
-            if not item.strip():
-                continue
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name != "fail":
-                raise ValueError(
-                    "unknown backend-fault knob %r (expected 'fail')"
-                    % (name,))
-            kwargs["fail_rate"] = float(value)
-        return cls(**kwargs)
-
-    def to_dict(self):
-        """JSON-safe form; :meth:`from_dict` round-trips it exactly."""
-        return {"fail_rate": self.fail_rate, "seed": self.seed,
-                "fail_on_calls": sorted(self.fail_on_calls)}
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(**payload)
+    RATES = {"fail": "fail_rate"}
+    FORCED = {"fail": "fail_on_calls"}
 
     def fault_at(self, ordinal):
         """Decision at call ``ordinal``: ``{"call", "fault"}`` where
         ``fault`` is ``"unavailable"`` or ``None``."""
-        if ordinal in self.fail_on_calls:
-            return {"call": ordinal, "fault": "unavailable"}
-        rng = np.random.default_rng((self.seed, ordinal))
-        if rng.uniform() < self.fail_rate:
-            return {"call": ordinal, "fault": "unavailable"}
-        return {"call": ordinal, "fault": None}
-
-    def schedule(self, calls):
-        """The first ``calls`` decisions -- a pure function of the plan."""
-        return [self.fault_at(o) for o in range(1, calls + 1)]
-
-    def describe(self):
-        parts = []
-        if self.fail_rate:
-            parts.append("fail=%g" % self.fail_rate)
-        if self.fail_on_calls:
-            parts.append("on=%s" % ",".join(
-                str(c) for c in sorted(self.fail_on_calls)))
-        return ";".join(parts) or "clean"
-
-    def __repr__(self):
-        return "BackendFaultPlan(%s, seed=%d)" % (self.describe(),
-                                                  self.seed)
+        fails = self._fires("fail", self._rng(ordinal), ordinal)
+        return {"call": ordinal, "fault": "unavailable" if fails else None}
 
 
 class FaultyBackend:

@@ -3,8 +3,10 @@
 The serving daemon's robustness claims -- structured errors instead of
 connection teardown, retrying clients that always converge on the
 fault-free answer -- are only worth making under *actual* wire-level
-adversity. This module makes that adversity deterministic, mirroring
-the engine layer's :class:`~repro.engine.faulty.FaultPlan` discipline:
+adversity. This module makes that adversity deterministic with the
+same seeded primitive as the engine layer's
+:class:`~repro.engine.faulty.FaultPlan`
+(:class:`repro.common.faults.SeededFaultPlan`):
 
 * :class:`ServeFaultPlan` declares per-frame fault probabilities, all
   drawn from ``default_rng((seed, frame_ordinal))`` so a (plan, frame
@@ -34,9 +36,8 @@ import asyncio
 import itertools
 import threading
 
-import numpy as np
-
 from repro.common.errors import ReproError
+from repro.common.faults import SeededFaultPlan
 
 #: Bounds of the uniformly drawn fraction of a truncated frame's bytes
 #: that are actually written before the connection dies.
@@ -48,7 +49,7 @@ GARBAGE_LEN_LO = 1
 GARBAGE_LEN_HI = 64
 
 
-class ServeFaultPlan:
+class ServeFaultPlan(SeededFaultPlan):
     """Declarative description of the wire adversity to inject.
 
     Rates are independent per-frame probabilities in ``[0, 1]``;
@@ -58,120 +59,30 @@ class ServeFaultPlan:
     hook targeted tests use for deterministic single-fault scenarios.
     """
 
-    __slots__ = ("drop_rate", "truncate_rate", "garbage_rate",
-                 "slow_rate", "slow_ms", "seed", "drop_on_frames",
-                 "truncate_on_frames", "garbage_on_frames",
-                 "slow_on_frames")
-
-    def __init__(self, drop_rate=0.0, truncate_rate=0.0,
-                 garbage_rate=0.0, slow_rate=0.0, slow_ms=40.0, seed=0,
-                 drop_on_frames=(), truncate_on_frames=(),
-                 garbage_on_frames=(), slow_on_frames=()):
-        for name, rate in (("drop_rate", drop_rate),
-                           ("truncate_rate", truncate_rate),
-                           ("garbage_rate", garbage_rate),
-                           ("slow_rate", slow_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("%s must be in [0, 1], got %r"
-                                 % (name, rate))
-        if slow_ms < 0:
-            raise ValueError("slow_ms must be >= 0")
-        self.drop_rate = float(drop_rate)
-        self.truncate_rate = float(truncate_rate)
-        self.garbage_rate = float(garbage_rate)
-        self.slow_rate = float(slow_rate)
-        self.slow_ms = float(slow_ms)
-        self.seed = int(seed)
-        self.drop_on_frames = frozenset(int(f) for f in drop_on_frames)
-        self.truncate_on_frames = frozenset(
-            int(f) for f in truncate_on_frames)
-        self.garbage_on_frames = frozenset(
-            int(f) for f in garbage_on_frames)
-        self.slow_on_frames = frozenset(int(f) for f in slow_on_frames)
-
-    @property
-    def is_clean(self):
-        """True when the plan injects nothing at all."""
-        return (self.drop_rate == self.truncate_rate ==
-                self.garbage_rate == self.slow_rate == 0.0
-                and not self.drop_on_frames
-                and not self.truncate_on_frames
-                and not self.garbage_on_frames
-                and not self.slow_on_frames)
-
-    @classmethod
-    def parse(cls, spec, seed=0):
-        """Build a plan from a CLI spec string.
-
-        ``spec`` is either a single float (used as the drop rate) or a
-        comma list of ``knob=value`` pairs with knobs ``drop``,
-        ``truncate``, ``garbage``, ``slow`` and ``slow_ms``, e.g.
-        ``"drop=0.1,garbage=0.05,slow=0.05"``.
-        """
-        keys = {"drop": "drop_rate", "truncate": "truncate_rate",
-                "garbage": "garbage_rate", "slow": "slow_rate",
-                "slow_ms": "slow_ms"}
-        kwargs = {"seed": seed}
-        try:
-            kwargs["drop_rate"] = float(spec)
-            return cls(**kwargs)
-        except (TypeError, ValueError):
-            pass
-        for item in str(spec).split(","):
-            if not item.strip():
-                continue
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name not in keys:
-                raise ValueError(
-                    "unknown serve-fault knob %r (expected one of %s)"
-                    % (name, ", ".join(sorted(keys))))
-            kwargs[keys[name]] = float(value)
-        return cls(**kwargs)
-
-    def to_dict(self):
-        """JSON-safe form; :meth:`from_dict` round-trips it exactly."""
-        return {
-            "drop_rate": self.drop_rate,
-            "truncate_rate": self.truncate_rate,
-            "garbage_rate": self.garbage_rate,
-            "slow_rate": self.slow_rate,
-            "slow_ms": self.slow_ms,
-            "seed": self.seed,
-            "drop_on_frames": sorted(self.drop_on_frames),
-            "truncate_on_frames": sorted(self.truncate_on_frames),
-            "garbage_on_frames": sorted(self.garbage_on_frames),
-            "slow_on_frames": sorted(self.slow_on_frames),
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        """Rebuild a plan serialized by :meth:`to_dict`; the rebuilt
-        plan injects the identical schedule in any process."""
-        return cls(**payload)
+    RATES = {"drop": "drop_rate", "truncate": "truncate_rate",
+             "garbage": "garbage_rate", "slow": "slow_rate"}
+    PARAMS = {"slow_ms": (40.0, 0.0)}
+    FORCED = {"drop": "drop_on_frames", "truncate": "truncate_on_frames",
+              "garbage": "garbage_on_frames", "slow": "slow_on_frames"}
 
     def fault_at(self, ordinal):
         """The decision taken at frame ``ordinal`` (JSON-safe dict).
 
         Draw order is drop -> truncate -> garbage -> slow, one fault
-        per frame (the first that fires short-circuits the rest), with
-        the forced ``*_on_frames`` sets checked before their rates.
+        per frame (the first that fires short-circuits the rest).
         Returns ``{"frame", "fault"}`` plus the fault's drawn
         parameters: ``keep_fraction`` for truncation, ``data`` (a list
         of byte values, newline-free) for garbage, ``delay_ms`` for
         slowness.
         """
-        rng = np.random.default_rng((self.seed, ordinal))
-        if ordinal in self.drop_on_frames \
-                or rng.uniform() < self.drop_rate:
+        rng = self._rng(ordinal)
+        if self._fires("drop", rng, ordinal):
             return {"frame": ordinal, "fault": "drop"}
-        if ordinal in self.truncate_on_frames \
-                or rng.uniform() < self.truncate_rate:
+        if self._fires("truncate", rng, ordinal):
             keep = rng.uniform(TRUNCATE_KEEP_LO, TRUNCATE_KEEP_HI)
             return {"frame": ordinal, "fault": "truncate",
                     "keep_fraction": float(keep)}
-        if ordinal in self.garbage_on_frames \
-                or rng.uniform() < self.garbage_rate:
+        if self._fires("garbage", rng, ordinal):
             length = int(rng.integers(GARBAGE_LEN_LO,
                                       GARBAGE_LEN_HI + 1))
             data = rng.integers(0, 256, size=length)
@@ -180,35 +91,12 @@ class ServeFaultPlan:
             # reason about.
             data = [int(b) if b != 0x0A else 0x2A for b in data]
             return {"frame": ordinal, "fault": "garbage", "data": data}
-        if ordinal in self.slow_on_frames \
-                or rng.uniform() < self.slow_rate:
+        if self._fires("slow", rng, ordinal):
             delay = rng.uniform(self.slow_ms / 4.0, self.slow_ms) \
                 if self.slow_ms else 0.0
             return {"frame": ordinal, "fault": "slow",
                     "delay_ms": float(delay)}
         return {"frame": ordinal, "fault": None}
-
-    def schedule(self, frames):
-        """The first ``frames`` decisions -- a pure function of the plan."""
-        return [self.fault_at(o) for o in range(1, frames + 1)]
-
-    def describe(self):
-        parts = []
-        for label, rate in (("drop", self.drop_rate),
-                            ("truncate", self.truncate_rate),
-                            ("garbage", self.garbage_rate),
-                            ("slow", self.slow_rate)):
-            if rate:
-                parts.append("%s=%g" % (label, rate))
-        forced = (len(self.drop_on_frames) + len(self.truncate_on_frames)
-                  + len(self.garbage_on_frames) + len(self.slow_on_frames))
-        if forced:
-            parts.append("forced=%d" % forced)
-        return ",".join(parts) or "clean"
-
-    def __repr__(self):
-        return "ServeFaultPlan(%s, seed=%d)" % (self.describe(),
-                                                self.seed)
 
 
 class FaultInjector:

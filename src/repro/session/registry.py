@@ -144,18 +144,15 @@ def _latency(engine, space, qa_index, **kwargs):
 @register_layer("faulty")
 def _faulty(engine, space, qa_index, plan=None, **kwargs):
     if plan is None:
-        knobs = {"crash": "crash_rate", "transient": "transient_rate",
-                 "corrupt": "corruption_rate", "drift": "drift_rate",
-                 "drift_factor": "drift_factor", "seed": "seed"}
-        unknown = set(kwargs) - set(knobs)
+        # The layer speaks the plan's own knob vocabulary, plus seed.
+        knobs = set(FaultPlan.knobs()) | {"seed"}
+        unknown = set(kwargs) - knobs
         if unknown:
             raise DiscoveryError(
                 "unknown faulty-layer arguments %s (expected %s)"
                 % (sorted(unknown), ", ".join(sorted(knobs))))
-        plan_kwargs = {knobs[k]: v for k, v in kwargs.items()}
-        if "seed" in plan_kwargs:
-            plan_kwargs["seed"] = int(plan_kwargs["seed"])
-        plan = FaultPlan(**plan_kwargs)
+        seed = int(kwargs.pop("seed", 0))
+        plan = FaultPlan.from_knobs(kwargs, seed=seed)
     elif kwargs:
         raise DiscoveryError(
             "faulty layer takes either plan= or knob arguments, not both")

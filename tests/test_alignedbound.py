@@ -116,3 +116,32 @@ class TestExecution:
         # AB targets worst-case pruning efficiency; on average it should
         # be at least in SpillBound's neighbourhood.
         assert ab_sweep.aso <= sb_sweep.aso * 1.5
+
+
+class TestSessionHistory:
+    """Constrained probes register plans into the shared, cached space;
+    an answer must not depend on which runs registered them first."""
+
+    QUERY, RESOLUTION = "4D_Q91", 5
+
+    def _run(self, session, qa):
+        result = session.run(self.QUERY, qa, algorithm="alignedbound",
+                             resolution=self.RESOLUTION)
+        return (result.total_cost, result.num_executions,
+                [(r.contour, r.mode, r.epp, r.budget, r.spent)
+                 for r in result.executions])
+
+    def test_earlier_run_does_not_change_an_answer(self):
+        from repro.session import RobustSession
+
+        fresh = self._run(RobustSession(), (4, 3, 0, 0))
+        warm = RobustSession()
+        space, _ = warm.space_and_contours(self.QUERY,
+                                           resolution=self.RESOLUTION)
+        built = len(space.plans)
+        self._run(warm, (4, 0, 2, 0))
+        # The earlier run's probes did grow the shared space ...
+        assert len(space.plans) > built
+        # ... but the later answer is the fresh session's, bit for bit.
+        assert self._run(warm, (4, 3, 0, 0)) == fresh
+        assert len(space.built_plans) == built
