@@ -283,9 +283,6 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--mode", default="fast", choices=("fast", "exact"))
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallelise an exact build over N processes "
-                        "(bit-identical to the serial build)")
 
     p = sub.add_parser("reproduce",
                        help="regenerate every paper artifact into one "
@@ -595,7 +592,7 @@ def main(argv=None):
         from repro.ess.persistence import save_space
         query = workload(args.workload)
         space = session.space(query, resolution=args.resolution,
-                              mode=args.mode, workers=args.workers)
+                              mode=args.mode)
         save_space(space, args.path)
         out.write(
             "saved %s (grid %s, %d plans) to %s\n"

@@ -75,25 +75,6 @@ def degradation_rows(items):
     return rows
 
 
-def degradation_summary(items):
-    """Aggregate counts over many runs' guard accounting.
-
-    Returns a dict with ``runs``, ``degraded`` and one entry per
-    observed ``degraded_reason`` (``retries-exhausted``,
-    ``deadline-wall_clock``, ``deadline-cost_budget``, ``breaker-open``),
-    so sweep-level tables can report *why* units fell back without
-    keeping every run alive.
-    """
-    summary = {"runs": 0, "degraded": 0}
-    for _label, extras in items:
-        summary["runs"] += 1
-        if extras.get("degraded"):
-            summary["degraded"] += 1
-            reason = extras.get("degraded_reason") or "unknown"
-            summary[reason] = summary.get(reason, 0) + 1
-    return summary
-
-
 def sweep_degradation(extras):
     """Normalise a sweep's degradation tally to ``(count, reasons)``.
 

@@ -124,10 +124,6 @@ class GridKernel:
             self.surface_bank.put_surface(self.grid, signature, surface)
         return surface
 
-    def cost_tensor(self, plans):
-        """``(len(plans), *grid.shape)`` stacked plan cost tensor."""
-        return np.stack([info.cost for info in plans])
-
     # ------------------------------------------------------------------
     # spill-mode subtree surfaces
 

@@ -145,7 +145,7 @@ def sample_locations(grid, sample, rng):
 
 
 def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
-                     engine_factory=None, checkpoint_factory=None):
+                     engine_factory=None):
     """Run ``algorithm`` with every grid location as the hidden truth.
 
     Parameters
@@ -162,10 +162,6 @@ def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
     engine_factory:
         Optional ``f(qa_index) -> engine`` substituting the execution
         environment per run (e.g. a cost-model-error engine).
-    checkpoint_factory:
-        Optional ``f(qa_index) -> DiscoveryCheckpoint`` supplying the
-        per-run checkpoint (journaled sweeps persist these as sidecars;
-        capture is passive, so results are unchanged).
 
     Returns a :class:`SweepResult` whose array is grid-shaped for full
     sweeps and flat for sampled sweeps. Degradation accounting from
@@ -177,10 +173,7 @@ def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
 
     def run_at(index):
         engine = engine_factory(index) if engine_factory else None
-        checkpoint = checkpoint_factory(index) if checkpoint_factory \
-            else None
-        result = algorithm.run(index, engine=engine,
-                               checkpoint=checkpoint)
+        result = algorithm.run(index, engine=engine)
         acc.add_result(result)
         return result.sub_optimality
 

@@ -149,8 +149,3 @@ def spill_epp(plan, remaining_epps):
         if subtree_epps & remaining <= {name}:
             return name, node
     return None
-
-
-def subtree_node_ids(root, node):
-    """Ids of every node in the subtree rooted at ``node``."""
-    return [member.node_id for member in node.walk()]

@@ -1,4 +1,4 @@
-"""Discovery-state checkpointing for crash-resumable runs.
+"""Discovery-state checkpointing for retryable runs.
 
 Everything a contour-based discovery algorithm has *certified* about the
 hidden truth -- exact selectivities, lower-bound indices, the contour it
@@ -9,9 +9,13 @@ that state as the run progresses, so a retried run resumes discovery
 from the crash contour instead of re-learning from contour 1, and never
 re-executes a completed contour.
 
-Checkpoints are passive: capturing them never alters the execution
-sequence, which is what lets the guard promise byte-identical behaviour
-when no faults fire. They serialise to JSON for cross-process resume.
+Checkpoints are passive and live in memory: capturing one never
+alters the execution sequence (which is what lets the guard promise
+byte-identical behaviour when no faults fire) and never touches disk.
+A sweep killed mid-unit does not resume from one; its write-ahead
+journal re-runs the in-flight unit from scratch (DESIGN.md §7).
+:meth:`DiscoveryCheckpoint.save` and :meth:`~DiscoveryCheckpoint.load`
+persist a snapshot to JSON only when a caller asks for it.
 """
 
 import json
@@ -23,18 +27,15 @@ from repro.common.atomicio import atomic_write_json
 class DiscoveryCheckpoint:
     """Resumable snapshot of one discovery run's certified knowledge.
 
-    ``path`` optionally persists every capture to a JSON file, enabling
-    resume across processes (a killed CLI run picks up where it died).
     ``qa_index`` optionally names the hidden truth the snapshot belongs
-    to, so a sweep resuming from a sidecar file can verify it is seeding
-    the *same* run the crash interrupted and not a neighbouring one.
+    to, so the guard can tell a snapshot of *this* run from one left by
+    a different truth's run (which it clears instead of resuming from).
     """
 
-    __slots__ = ("path", "qa_index", "active", "contour", "resolved",
-                 "qrun", "remaining", "executed", "captures")
+    __slots__ = ("qa_index", "active", "contour", "resolved", "qrun",
+                 "remaining", "executed", "captures")
 
-    def __init__(self, path=None, qa_index=None):
-        self.path = path
+    def __init__(self, qa_index=None):
         self.qa_index = None if qa_index is None else tuple(qa_index)
         self.clear()
 
@@ -69,8 +70,6 @@ class DiscoveryCheckpoint:
         if executed is not None:
             self.executed = set(executed)
         self.captures += 1
-        if self.path is not None:
-            self.save(self.path)
 
     def restore(self, state):
         """Load captured knowledge into a ``_DiscoveryState``; returns
@@ -103,8 +102,8 @@ class DiscoveryCheckpoint:
         }
 
     @classmethod
-    def from_dict(cls, payload, path=None):
-        checkpoint = cls(path=None)
+    def from_dict(cls, payload):
+        checkpoint = cls()
         qa = payload.get("qa_index")
         checkpoint.qa_index = None if qa is None \
             else tuple(int(i) for i in qa)
@@ -122,13 +121,11 @@ class DiscoveryCheckpoint:
             (int(c), e) for c, e in payload.get("executed", [])
         }
         checkpoint.captures = int(payload.get("captures", 0))
-        checkpoint.path = path
         return checkpoint
 
     def save(self, path):
-        """Persist atomically: a crash mid-save leaves the previous
-        snapshot intact, never a torn file (the artifact exists to
-        survive exactly such crashes)."""
+        """Persist to ``path`` atomically: a crash mid-save leaves the
+        previous snapshot intact, never a torn file."""
         atomic_write_json(path, self.to_dict(), fsync=False)
 
     @classmethod
@@ -138,15 +135,15 @@ class DiscoveryCheckpoint:
 
         A truncated or corrupt file (pre-atomic-write leftovers, disk
         damage) is *reported* via a warning and yields a fresh inactive
-        checkpoint bound to ``path`` -- losing a checkpoint costs a
-        re-discovery, never the run.
+        checkpoint -- losing a checkpoint costs a re-discovery, never
+        the run.
         """
         try:
             with open(path) as handle:
                 payload = json.load(handle)
             if not isinstance(payload, dict):
                 raise ValueError("checkpoint payload is not an object")
-            return cls.from_dict(payload, path=path)
+            return cls.from_dict(payload)
         except FileNotFoundError:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -154,7 +151,7 @@ class DiscoveryCheckpoint:
                 "discarding corrupt checkpoint %s (%s); discovery will "
                 "restart from scratch" % (path, exc),
                 RuntimeWarning, stacklevel=2)
-            return cls(path=path)
+            return cls()
 
     def __repr__(self):
         if not self.active:

@@ -461,8 +461,11 @@ class SweepJournal:
         journal/
           segment-000001.wal    CRC-framed JSONL records
           segment-000002.wal    ...rotated after SEGMENT_RECORDS appends
-          inflight-<unit>.json  per-run checkpoint sidecar (PR 1 format)
           journal.lock          writer mutex (O_EXCL + PID staleness)
+
+    The segments are the only durable record of a sweep: an in-flight
+    unit (``begin`` without ``commit``) leaves no discovery state behind
+    and re-runs from scratch on resume.
 
     Record types: ``meta`` (sweep config fingerprint, first record of
     segment 1), ``segment`` (rotation header), ``begin`` / ``commit``
@@ -690,30 +693,12 @@ class SweepJournal:
     def unit_key(query_name, algorithm_label):
         return "%s/%s" % (query_name, algorithm_label)
 
-    def checkpoint_path(self, unit):
-        """Sidecar path for the unit's per-run discovery checkpoint
-        (PR 1's :class:`DiscoveryCheckpoint` JSON format).
-
-        Unsafe characters are percent-encoded (UTF-8 bytes, fixed-width
-        ``%XX``), which is *injective*: distinct unit keys always get
-        distinct sidecars. The previous lossy ``_`` substitution mapped
-        e.g. ``2D_Q91/spillbound`` and ``2D_Q91_spillbound`` to the same
-        file, so one unit's resume could consume another's state.
-        """
-        safe = re.sub(
-            r"[^A-Za-z0-9._-]",
-            lambda m: "".join("%%%02X" % b
-                              for b in m.group(0).encode("utf-8")),
-            unit)
-        return os.path.join(self.path, "inflight-%s.json" % safe)
-
     def begin(self, unit):
-        """WAL the intent to run ``unit``; returns its sidecar path."""
+        """WAL the intent to run ``unit``."""
         self._append({"type": "begin", "unit": unit})
-        return self.checkpoint_path(unit)
 
     def commit(self, unit, result):
-        """WAL the unit's full result and retire its sidecar."""
+        """WAL the unit's full result."""
         self._append({"type": "commit", "unit": unit, "result": result})
         self.committed[unit] = {"type": "commit", "unit": unit,
                                 "result": result}
@@ -721,10 +706,6 @@ class SweepJournal:
         if self.tracer.enabled:
             self.tracer.event("journal-commit", unit=unit,
                               segment=self._segment_index)
-        try:
-            os.unlink(self.checkpoint_path(unit))
-        except OSError:
-            pass
 
     def replay_result(self, unit):
         """The committed result payload for ``unit``, or ``None``."""

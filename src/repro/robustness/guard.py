@@ -79,9 +79,6 @@ class DiscoveryGuard(RobustAlgorithm):
     contract, same ``space``), so sweeps and experiments can use it as a
     drop-in replacement for the wrapped algorithm.
 
-    ``checkpoint_path`` optionally persists discovery checkpoints to a
-    JSON file so a killed *process* can also resume.
-
     ``deadline`` optionally attaches a cooperative
     :class:`~repro.robustness.durable.Deadline`: every budgeted
     execution is preceded by a check and followed by a spend charge
@@ -95,12 +92,11 @@ class DiscoveryGuard(RobustAlgorithm):
     """
 
     def __init__(self, algorithm, policy=None, fallback=None,
-                 checkpoint_path=None, deadline=None, breaker=None):
+                 deadline=None, breaker=None):
         super().__init__(algorithm.space)
         self.algorithm = algorithm
         self.policy = policy or RetryPolicy()
         self._fallback = fallback
-        self.checkpoint_path = checkpoint_path
         self.deadline = deadline
         self.breaker = breaker
         self.name = "guarded-" + algorithm.name
@@ -131,8 +127,7 @@ class DiscoveryGuard(RobustAlgorithm):
 
     def run(self, qa_index, engine=None, checkpoint=None):
         qa_index = tuple(qa_index)
-        checkpoint = checkpoint or DiscoveryCheckpoint(
-            path=self.checkpoint_path)
+        checkpoint = checkpoint or DiscoveryCheckpoint()
         if checkpoint.qa_index is None:
             checkpoint.qa_index = qa_index
         elif tuple(checkpoint.qa_index) != qa_index:

@@ -212,11 +212,6 @@ class AdmissionController:
                 self.service_ema = (0.8 * self.service_ema
                                     + 0.2 * float(service_time))
 
-    def release_queued(self):
-        """An admitted-but-queued request was abandoned (drain)."""
-        with self._mutex:
-            self.queued = max(0, self.queued - 1)
-
     # ------------------------------------------------------------------
 
     def pressure(self):

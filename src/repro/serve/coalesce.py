@@ -87,11 +87,6 @@ class Coalescer:
     def __len__(self):
         return len(self._inflight)
 
-    def flight_for(self, key):
-        """The in-flight task for ``key`` (tests/introspection)."""
-        flight = self._inflight.get(key)
-        return flight.task if flight is not None else None
-
     async def _execute(self, key, flight_box, factory):
         try:
             return await factory()

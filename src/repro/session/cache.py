@@ -54,10 +54,8 @@ PLAN_SLOTS = 65536
 class SpaceKey:
     """Content address of one built exploration space.
 
-    Everything that changes the build output is part of the key;
-    anything that merely changes *how fast* it is built (``workers``)
-    is deliberately excluded, so a parallel exact build and a serial
-    one resolve to the same artifact.
+    Everything that changes the build output is part of the key, and
+    nothing else.
     """
 
     __slots__ = ("query_name", "epps", "tables", "catalog", "resolution",

@@ -91,10 +91,6 @@ def _validate(driver, algorithms):
             "a declarative database (%r needs rows; give the session a "
             "DatabaseSpec so workers can regenerate them -- raw arrays "
             "cannot be shipped)" % driver.engine_spec.describe())
-    if driver.reuse_inflight:
-        raise DiscoveryError(
-            "reuse_inflight composes per-run checkpoints with a single "
-            "serial executor; it is not supported with workers > 1")
     for algorithm in algorithms:
         if not isinstance(algorithm, (str, type)):
             raise DiscoveryError(
@@ -107,9 +103,8 @@ def _validate(driver, algorithms):
 # worker side
 #
 # Per-process state, initialised once per worker from the declarative
-# config (the same pattern as repro.ess.parallel). Engine/session state
-# is *rehydrated*, never shipped: the config holds only names, numbers,
-# Query objects and a RetryPolicy.
+# config. Engine/session state is *rehydrated*, never shipped: the
+# config holds only names, numbers, Query objects and a RetryPolicy.
 
 _WORKER = {}
 

@@ -9,10 +9,10 @@ on-disk archives), so a (query, resolution, build-mode) artifact is
 built once and reused across experiments, CLI invocations and sweeps --
 the §7 "offline, amortizable activity" made operational.
 
-Session defaults (resolution, build mode, engine spec, guard policy,
-workers) are constructor arguments; every method takes per-call
-overrides. Queries are accepted as :class:`~repro.query.query.Query`
-objects or registered workload names (``"4D_Q91"``).
+Session defaults (resolution, build mode, engine spec, guard policy)
+are constructor arguments; every method takes per-call overrides.
+Queries are accepted as :class:`~repro.query.query.Query` objects or
+registered workload names (``"4D_Q91"``).
 """
 
 from repro.algorithms import (
@@ -25,7 +25,6 @@ from repro.algorithms import (
 from repro.algorithms.randomized import RandomizedPlanBouquet
 from repro.common.errors import DiscoveryError
 from repro.ess.contours import ContourSet
-from repro.ess.parallel import parallel_exact_build
 from repro.ess.space import ExplorationSpace
 from repro.obs.tracer import NULL_TRACER
 from repro.robustness import DiscoveryGuard, RetryPolicy
@@ -62,11 +61,6 @@ class RobustSession:
         :class:`~repro.ess.space.ExplorationSpace`).
     ratio:
         Default contour cost ratio (the paper's doubling ladder).
-    workers:
-        Default worker count for ``mode="exact"`` builds; ``> 1``
-        routes construction through
-        :func:`repro.ess.parallel.parallel_exact_build` (bit-identical
-        to the serial build).
     engine_spec:
         Default execution environment, as an
         :class:`~repro.session.registry.EngineSpec` or spec string.
@@ -85,7 +79,7 @@ class RobustSession:
     """
 
     def __init__(self, cache_dir=None, memory_slots=None, resolution=None,
-                 mode="fast", s_min=1e-6, rng=0, ratio=2.0, workers=None,
+                 mode="fast", s_min=1e-6, rng=0, ratio=2.0,
                  engine_spec="simulated", database=None, guard=None,
                  breaker=None, tracer=None, kernel=True):
         kwargs = {} if memory_slots is None else \
@@ -99,7 +93,6 @@ class RobustSession:
         self.s_min = s_min
         self.rng = rng
         self.ratio = ratio
-        self.workers = workers
         self.engine_spec = EngineSpec.parse(engine_spec)
         self.database = database
         if guard is True:
@@ -136,7 +129,7 @@ class RobustSession:
     # artifacts
 
     def space(self, query, resolution=None, mode=None, rng=None,
-              s_min=None, workers=None, cache=True):
+              s_min=None, cache=True):
         """The built exploration space for ``query`` (cached).
 
         ``cache=False`` bypasses both tiers: a fresh space is built and
@@ -146,8 +139,7 @@ class RobustSession:
         query = self.query(query)
         resolution, mode, rng, s_min = self._build_knobs(
             resolution, mode, rng, s_min)
-        builder = self._builder(query, resolution, mode, rng, s_min,
-                                workers)
+        builder = self._builder(query, resolution, mode, rng, s_min)
         if not cache:
             return builder()
         key = SpaceKey.of(query, resolution=resolution, mode=mode,
@@ -160,15 +152,13 @@ class RobustSession:
                                        **space_kwargs)[1]
 
     def space_and_contours(self, query, ratio=None, resolution=None,
-                           mode=None, rng=None, s_min=None, workers=None,
-                           cache=True):
+                           mode=None, rng=None, s_min=None, cache=True):
         """The ``(space, contours)`` pair every algorithm consumes."""
         query = self.query(query)
         ratio = self.ratio if ratio is None else ratio
         resolution, mode, rng, s_min = self._build_knobs(
             resolution, mode, rng, s_min)
-        builder = self._builder(query, resolution, mode, rng, s_min,
-                                workers)
+        builder = self._builder(query, resolution, mode, rng, s_min)
         if not cache:
             space = builder()
             return space, ContourSet(space, ratio=ratio)
@@ -198,8 +188,7 @@ class RobustSession:
             self.cache.stats.contour_hits += 1
         return contours
 
-    def _builder(self, query, resolution, mode, rng, s_min, workers):
-        workers = self.workers if workers is None else workers
+    def _builder(self, query, resolution, mode, rng, s_min):
         self_building = getattr(query, "build_space", None)
         if self_building is not None:
             # Self-building queries (q-error regime workloads) own their
@@ -219,8 +208,6 @@ class RobustSession:
                 # shared with every other space of this query the
                 # session constructs (other resolutions, sweep units).
                 space.bank = self.cache.bank.scope(query)
-            if mode == "exact" and workers is not None and workers > 1:
-                return parallel_exact_build(space, workers=workers)
             return space.build(mode=mode, rng=rng)
 
         return build

@@ -17,11 +17,9 @@ Durability (all opt-in, inert by default):
   Re-running a driver against an existing journal *replays* committed
   units from the log -- bit-identical results, zero re-execution -- and
   re-runs only in-flight/pending ones (the ``--resume`` path a killed
-  process takes). The in-flight unit composes with PR 1's per-run
-  checkpoint: discovery state is persisted to a sidecar inside the
-  journal directory, and ``reuse_inflight=True`` seeds the matching run
-  from it on resume (faster, but the resumed run's spend accounting
-  differs from an uninterrupted one, so it is off by default).
+  process takes). An in-flight unit re-runs from scratch: the journal's
+  segments are the sweep's only durable record, and a run's discovery
+  checkpoint lives in memory for its guard's retries.
 * ``deadline=`` / ``breaker=`` attach a cooperative
   :class:`~repro.robustness.durable.Deadline` and a per-engine
   :class:`~repro.robustness.durable.CircuitBreaker` to every guarded
@@ -38,7 +36,6 @@ from repro.common.errors import DiscoveryError
 from repro.metrics.mso import SweepResult, exhaustive_sweep
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.robustness import DiscoveryCheckpoint
 from repro.robustness.durable import SweepJournal
 from repro.session.registry import EngineSpec
 
@@ -186,18 +183,17 @@ class SweepDriver:
     overrides the session's grid default, ``lam`` is forwarded to
     PlanBouquet-family factories, ``engine_factory`` substitutes the
     execution environment per hidden truth (overriding the session's
-    engine spec). ``journal``, ``deadline``, ``breaker`` and
-    ``reuse_inflight`` add the durability layer (see the module
-    docstring); with all four at their defaults the driver is
-    byte-identical to its pre-durability behaviour.
+    engine spec). ``journal``, ``deadline`` and ``breaker`` add the
+    durability layer (see the module docstring); with all three at
+    their defaults the driver is byte-identical to its pre-durability
+    behaviour.
     """
 
     def __init__(self, session, sample=None, rng=0, resolution=None,
                  lam=None, ratio=None, engine_factory=None, progress=None,
                  journal=None, resume=None, deadline=None, breaker=None,
-                 reuse_inflight=False, engine_label=None, trace_dir=None,
-                 engine_spec=None, fault_seed=None, workers=None,
-                 chunk_size=None):
+                 engine_label=None, trace_dir=None, engine_spec=None,
+                 fault_seed=None, workers=None, chunk_size=None):
         if engine_factory is not None and engine_spec is not None:
             raise DiscoveryError(
                 "pass engine_factory= or engine_spec=, not both")
@@ -233,7 +229,6 @@ class SweepDriver:
         self.resume = resume
         self.deadline = deadline
         self.breaker = breaker
-        self.reuse_inflight = reuse_inflight
         #: Directory for per-unit discovery traces; ``None`` disables
         #: tracing entirely (the hot path sees only a NullTracer).
         self.trace_dir = trace_dir
@@ -348,33 +343,6 @@ class SweepDriver:
                      resume=self.resume)
         return journal
 
-    def _checkpoint_factory(self, sidecar):
-        """Per-run checkpoints persisted inside the journal directory.
-
-        Composes the WAL with PR 1's run-level resume: a process killed
-        mid-run leaves its certified discovery state in the sidecar, and
-        ``reuse_inflight=True`` seeds the matching run from it on
-        resume. Capture itself is passive, so with ``reuse_inflight``
-        off the sweep results are identical to an unjournaled run.
-        """
-        recovered = None
-        if self.reuse_inflight and os.path.exists(sidecar):
-            loaded = DiscoveryCheckpoint.load(sidecar)
-            if loaded.active and loaded.qa_index is not None:
-                recovered = loaded
-
-        def factory(qa_index):
-            nonlocal recovered
-            if recovered is not None \
-                    and recovered.qa_index == tuple(qa_index):
-                seeded, recovered = recovered, None
-                seeded.path = sidecar
-                return seeded
-            return DiscoveryCheckpoint(path=sidecar,
-                                       qa_index=tuple(qa_index))
-
-        return factory
-
     # ------------------------------------------------------------------
 
     def run(self, queries, algorithms=("spillbound",)):
@@ -425,7 +393,6 @@ class SweepDriver:
         """Run (or replay) one ``(query, algorithm)`` unit."""
         label = self._label(algorithm)
         unit = SweepJournal.unit_key(query.name, label)
-        checkpoint_factory = None
         if journal is not None:
             payload = journal.replay_result(unit)
             if payload is not None:
@@ -434,8 +401,7 @@ class SweepDriver:
                 self._merge_obs(sweep)
                 return SweepRecord(query.name, label, instance,
                                    sweep, replayed=True)
-            sidecar = journal.begin(unit)
-            checkpoint_factory = self._checkpoint_factory(sidecar)
+            journal.begin(unit)
         instance = self.algorithm(algorithm, query)
         tracer = None
         if self.trace_dir is not None:
@@ -448,8 +414,7 @@ class SweepDriver:
             sweep = exhaustive_sweep(
                 instance, sample=self.sample, rng=self.rng,
                 progress=self.progress,
-                engine_factory=self._unit_engine_factory(query, unit),
-                checkpoint_factory=checkpoint_factory)
+                engine_factory=self._unit_engine_factory(query, unit))
             if journal is not None:
                 journal.commit(unit, _sweep_payload(sweep))
         finally:

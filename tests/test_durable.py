@@ -4,6 +4,7 @@ guard, session and sweep driver."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -449,24 +450,6 @@ class TestSweepJournal:
             other.open(config={"id": 1})
         journal.close()
 
-    def test_unit_key_and_sidecar_sanitisation(self, tmp_path):
-        journal = _open_journal(tmp_path)
-        unit = SweepJournal.unit_key("4D_Q26", "plan bouquet/λ=2")
-        sidecar = journal.checkpoint_path(unit)
-        assert os.path.dirname(sidecar) == journal.path
-        assert "/" not in os.path.basename(sidecar)[len("inflight-"):]
-        journal.close()
-
-    def test_sidecar_names_are_injective(self, tmp_path):
-        # Regression: the old lossy sanitiser mapped every non-filename
-        # character to "_", so units "q/a" and "q_a" shared a sidecar
-        # and a resume could replay the wrong unit's checkpoint.
-        journal = _open_journal(tmp_path)
-        paths = {journal.checkpoint_path(unit)
-                 for unit in ("q/a", "q_a", "q%2Fa", "q a", "q\ta")}
-        assert len(paths) == 5
-        journal.close()
-
     def test_records_reads_without_the_lock(self, tmp_path):
         journal = _open_journal(tmp_path)
         journal.begin("q/a")
@@ -484,8 +467,9 @@ class TestSweepJournal:
 class TestCheckpointDurability:
     def test_save_is_atomic_and_round_trips(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        checkpoint = DiscoveryCheckpoint(path=path, qa_index=(3, 7))
+        checkpoint = DiscoveryCheckpoint(qa_index=(3, 7))
         checkpoint.capture(1, resolved={0: 4}, qrun=[1, 2])
+        checkpoint.save(path)
         loaded = DiscoveryCheckpoint.load(path)
         assert loaded.active
         assert loaded.qa_index == (3, 7)
@@ -674,3 +658,61 @@ class TestJournaledSweeps:
         records = list(driver.run([toy_query], self.ALGS))
         assert driver.journal_stats is None
         assert [r.algorithm for r in records] == list(self.ALGS)
+
+
+class TestJournalIsTheOnlyRecord:
+    """A journaled sweep writes its segments and lock, nothing else:
+    guard retries resume from in-memory checkpoints, and the journal
+    changes no grid or extras of the sweep it records."""
+
+    SPEC = "simulated+faulty(crash=0.01,transient=0.02)"
+    ALGS = ("planbouquet", "spillbound", "alignedbound")
+
+    def _records(self, query, journal=None, progress=None):
+        session = RobustSession(resolution=8, guard=True,
+                                engine_spec=self.SPEC)
+        driver = SweepDriver(session, resolution=8, journal=journal,
+                             engine_spec=self.SPEC, fault_seed=5,
+                             progress=progress)
+        return list(driver.run([query], self.ALGS))
+
+    def test_no_checkpoint_files_mid_unit(self, toy_query, tmp_path,
+                                          monkeypatch):
+        saves = []
+        save = DiscoveryCheckpoint.save
+
+        def counting_save(checkpoint, path):
+            saves.append(path)
+            save(checkpoint, path)
+
+        retries = []
+        run = DiscoveryGuard.run
+
+        def counting_run(guard, *args, **kwargs):
+            result = run(guard, *args, **kwargs)
+            retries.append(result.extras["retries"])
+            return result
+
+        monkeypatch.setattr(DiscoveryCheckpoint, "save", counting_save)
+        monkeypatch.setattr(DiscoveryGuard, "run", counting_run)
+        journal = tmp_path / "journal"
+        listings = []
+
+        def progress(done, total):
+            listings.append(sorted(os.listdir(str(journal))))
+
+        journaled = self._records(toy_query, journal=str(journal),
+                                  progress=progress)
+        assert sum(retries) > 0, "no fault fired: the test proves nothing"
+        assert saves == []
+        assert len(listings) == 3 * 64
+        for names in listings:
+            assert [n for n in names if n != "journal.lock"
+                    and not re.match(r"segment-\d{6}\.wal$", n)] == []
+        plain = self._records(toy_query)
+        assert len(journaled) == len(plain) == len(self.ALGS)
+        for a, b in zip(journaled, plain):
+            assert a.algorithm == b.algorithm
+            assert np.array_equal(a.sweep.sub_optimalities,
+                                  b.sweep.sub_optimalities)
+            assert a.sweep.extras == b.sweep.extras

@@ -158,13 +158,6 @@ class TestRestrictions:
         with pytest.raises(DiscoveryError, match="instances"):
             _records(driver, algorithms=(instance,))
 
-    def test_reuse_inflight_is_refused(self, tmp_path):
-        driver = SweepDriver(_session(), workers=2,
-                             journal=str(tmp_path / "j"),
-                             reuse_inflight=True)
-        with pytest.raises(DiscoveryError, match="reuse_inflight"):
-            _records(driver)
-
     def test_spec_and_factory_are_mutually_exclusive(self):
         with pytest.raises(DiscoveryError, match="not both"):
             SweepDriver(_session(), engine_spec="simulated",

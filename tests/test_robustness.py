@@ -267,9 +267,10 @@ class TestCheckpointState:
 
     def test_json_roundtrip(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        checkpoint = DiscoveryCheckpoint(path=path)
+        checkpoint = DiscoveryCheckpoint()
         checkpoint.capture(4, resolved={0: 9, 1: 3}, qrun=[9, 3],
                            remaining=set(), executed={(1, "j1"), (3, "j2")})
+        checkpoint.save(path)
         loaded = DiscoveryCheckpoint.load(path)
         assert loaded.active
         assert loaded.contour == 4

@@ -146,24 +146,6 @@ class TestDiskTier:
         assert space.built
 
 
-class TestParallelBuild:
-    def test_workers_bit_identical_to_serial(self, toy_query):
-        serial = RobustSession(mode="exact", s_min=1e-5).space(
-            toy_query, resolution=8)
-        parallel = RobustSession(mode="exact", s_min=1e-5,
-                                 workers=2).space(toy_query, resolution=8)
-        assert np.array_equal(parallel.plan_at, serial.plan_at)
-        assert np.array_equal(parallel.opt_cost, serial.opt_cost)
-        assert len(parallel.plans) == len(serial.plans)
-        for a, b in zip(parallel.plans, serial.plans):
-            assert a.tree.signature() == b.tree.signature()
-            assert np.array_equal(a.cost, b.cost)
-
-    def test_workers_share_cache_key(self, toy_query):
-        assert SpaceKey.of(toy_query, resolution=8, mode="exact") == \
-            SpaceKey.of(toy_query, resolution=8, mode="exact")
-
-
 class TestAlgorithmsAndRuns:
     def test_unknown_algorithm_rejected(self, toy_query):
         with pytest.raises(DiscoveryError, match="unknown algorithm"):
