@@ -13,11 +13,10 @@ Structurally the atlas is a thin conductor over the existing machinery:
 * regime-qualified workload names (:mod:`repro.ess.regimes`) make every
   error regime a first-class workload, so the same
   :class:`~repro.session.SweepDriver` that powers ``repro sweep`` runs
-  them -- journal bracketing, ``--workers`` process pools and plan-bank
-  reuse included;
+  them -- journal bracketing and ``--workers`` process pools included;
 * one :class:`~repro.session.RobustSession` is shared across all
-  resolutions, so cross-resolution plan-bank reuse (PR 9) is measured,
-  not re-implemented;
+  resolutions, so each (skeleton, regime, resolution) space is built
+  once and its artifact-cache counters land in the stats sidecar;
 * results are plain :class:`AtlasUnit` records; everything summary- or
   report-shaped lives in :mod:`repro.atlas.summary` and
   :mod:`repro.atlas.report`.

@@ -15,8 +15,10 @@ Commands
     graceful-degradation guard and also prints the guard's degradation
     accounting.
 ``sweep WORKLOAD``
-    Exhaustive empirical MSO/ASO for PB, SB and AB. ``--trace-dir DIR``
-    records one structured discovery trace per (query, algorithm) unit.
+    Exhaustive empirical MSO/ASO for PB, SB and AB, one
+    :class:`~repro.session.SweepDriver` unit per algorithm, with each
+    unit's degradation accounting. ``--trace-dir DIR`` records one
+    structured discovery trace per (query, algorithm) unit.
 ``trace show PATH``
     Render a recorded trace: per-execution timeline, budget waterfall
     and MSO spend decomposition.
@@ -34,6 +36,7 @@ one process (and the experiment drivers underneath ``experiment`` /
 """
 
 import argparse
+import copy
 import sys
 
 from repro.algorithms.spillbound import spillbound_guarantee
@@ -337,17 +340,30 @@ def build_parser():
     return parser
 
 
-def _durable_sweep(out, session, query, space, algorithms, args):
-    """``sweep`` with any durability flag: journal/deadline/breaker.
+def _sweep(out, session, query, space, algorithms, args):
+    """``sweep``: every (query, algorithm) unit runs through one
+    :class:`~repro.session.SweepDriver`.
 
-    Runs through a :class:`~repro.session.SweepDriver` so every
-    (query, algorithm) unit is bracketed in the write-ahead journal;
-    ``--resume`` replays committed units from the log and re-runs only
-    the rest. The plain path stays untouched -- with no durability flag
-    the command executes exactly the historical code.
+    ``--journal`` brackets each unit in the write-ahead journal and
+    ``--resume`` replays committed units from the log, re-running only
+    the rest. An ``--engine`` spec with a ``faulty`` layer guards every
+    run with the default :class:`~repro.robustness.RetryPolicy`, as
+    ``run --faults`` does, so an injected fault degrades a run (and
+    says so in the table) instead of aborting the sweep.
     """
+    from repro.robustness import RetryPolicy
     from repro.robustness.durable import CircuitBreaker, Deadline
     from repro.session import SweepDriver
+    from repro.session.registry import EngineSpec
+
+    if args.engine is not None and not session.guard_policy and any(
+            name == "faulty"
+            for name, _kwargs in EngineSpec.parse(args.engine).layers):
+        # A shallow copy shares the artifact cache but leaves the
+        # process-wide session's policy alone; ``--workers`` processes
+        # rehydrate the copy's ``guard_policy``.
+        session = copy.copy(session)
+        session.guard_policy = RetryPolicy()
 
     deadline = None
     if args.deadline is not None or args.cost_budget is not None:
@@ -388,7 +404,7 @@ def _durable_sweep(out, session, query, space, algorithms, args):
               (query.name, space.grid.size)) + "\n")
     out.write(format_table(
         ["counter", "value"], sorted(driver.reuse_summary().items()),
-        title="Artifact reuse (session cache + plan bank)") + "\n")
+        title="Artifact reuse (session cache)") + "\n")
     stats = driver.journal_stats
     if stats is not None:
         out.write("journal: %d unit(s) replayed, %d executed, "
@@ -511,35 +527,7 @@ def main(argv=None):
             session.database = dbspec
         algorithms = [a.strip() for a in args.algorithms.split(",")
                       if a.strip()]
-        durable = (args.journal is not None or args.resume is not None
-                   or args.deadline is not None
-                   or args.cost_budget is not None
-                   or args.breaker is not None
-                   or args.trace_dir is not None
-                   or args.workers is not None
-                   or args.fault_seed is not None)
-        if durable:
-            return _durable_sweep(out, session, query, space, algorithms,
-                                  args)
-        rows = []
-        for name in algorithms:
-            algorithm = session.algorithm(name, query=query,
-                                          resolution=args.resolution)
-            sweep = session.sweep(query, algorithm, sample=args.sample,
-                                  rng=args.rng, spec=args.engine,
-                                  resolution=args.resolution)
-            rows.append((algorithm.name, algorithm.mso_guarantee(),
-                         sweep.mso, sweep.aso))
-        out.write(format_table(
-            ["algorithm", "MSOg", "MSOe", "ASO"], rows,
-            title="Empirical robustness for %s (%d locations)" %
-                  (query.name, space.grid.size)) + "\n")
-        from repro.session.sweep import session_reuse_summary
-        out.write(format_table(
-            ["counter", "value"],
-            sorted(session_reuse_summary(session).items()),
-            title="Artifact reuse (session cache + plan bank)") + "\n")
-        return 0
+        return _sweep(out, session, query, space, algorithms, args)
 
     if args.command == "atlas":
         from repro.atlas.cli import atlas_main

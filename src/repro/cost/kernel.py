@@ -14,11 +14,10 @@ Python scalars, 1-D arrays or mesh tensors (DESIGN.md §13). That is what
 lets the vectorised builds and the spill tensors replace the per-cell
 code without perturbing a single grid, contour or sweep result.
 
-Cost surfaces can optionally be shared across builds through a
-*surface bank* (see :class:`repro.session.cache.PlanBank`): plans are
-content-addressed by signature over a fixed grid geometry, so a fast
-build, an exact build and every sweep unit of the same query reuse one
-costing pass per plan.
+Plan cost surfaces are computed once per plan: the exploration space
+deduplicates plans by signature before asking for a surface and keeps
+the result on the plan, so the kernel caches only the spill-mode
+subtree tensors that many truths slice.
 """
 
 from collections import OrderedDict
@@ -43,19 +42,14 @@ class GridKernel:
         Predicate names, one per grid dimension, in dimension order.
     cost_model:
         The :class:`~repro.cost.model.CostModel` evaluating plan trees.
-    surface_bank:
-        Optional cross-build surface store (``get``/``put`` keyed by
-        grid and plan signature); ``None`` keeps surfaces kernel-local.
     """
 
-    def __init__(self, grid, epps, cost_model, surface_bank=None):
+    def __init__(self, grid, epps, cost_model):
         self.grid = grid
         self.epps = tuple(epps)
         self.cost_model = cost_model
-        self.surface_bank = surface_bank
         self._flat = None
         self._mesh = None
-        self._surfaces = {}
         self._subtrees = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -97,31 +91,16 @@ class GridKernel:
     # ------------------------------------------------------------------
     # plan cost surfaces
 
-    def plan_surface(self, tree, signature=None):
+    def plan_surface(self, tree):
         """Grid-shaped cost surface of ``tree`` (one vectorised pass).
 
-        Surfaces are cached by plan signature and, when a surface bank
-        is attached, shared with every other build of the same query
-        over the same grid geometry. Returned arrays are read-only --
-        they are shared objects, not per-caller copies.
+        The returned array is read-only: the space keeps it as the
+        plan's cost surface for its whole life.
         """
-        if signature is None:
-            signature = tree.signature()
-        surface = self._surfaces.get(signature)
-        if surface is not None:
-            return surface
-        if self.surface_bank is not None:
-            surface = self.surface_bank.get_surface(self.grid, signature)
-            if surface is not None:
-                self._surfaces[signature] = surface
-                return surface
         surface = np.asarray(
             self.cost_model.cost(tree, self.flat_assignment())
         ).reshape(self.grid.shape)
         surface.flags.writeable = False
-        self._surfaces[signature] = surface
-        if self.surface_bank is not None:
-            self.surface_bank.put_surface(self.grid, signature, surface)
         return surface
 
     # ------------------------------------------------------------------

@@ -15,14 +15,10 @@ where learnt dimensions are pinned to their discovered values.
 """
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.common.errors import DiscoveryError
-
-#: Cap on the space-shared contour-slice cache (entries, FIFO-evicted).
-CONTOUR_SLICE_CAP = 4096
 
 
 class ContourSlice:
@@ -65,19 +61,6 @@ class ContourSet:
         self.ratio = ratio
         self.costs = _contour_costs(space.c_min, space.c_max, ratio)
         self._slice_cache = {}
-        # Contour membership depends only on (budget cost, pinned dims),
-        # never on the ratio that produced the ladder -- so slices are
-        # shared at space level and a rebuild with a different ratio
-        # (the §4.2 ablation, effective-contour replays) reuses every
-        # rung whose cost coincides (c_min and c_max always do).
-        shared = getattr(space, "_contour_slices", None)
-        if shared is None:
-            shared = OrderedDict()
-            try:
-                space._contour_slices = shared
-            except AttributeError:
-                pass  # __slots__-style space: fall back to per-instance
-        self._shared_slices = shared
 
     def __len__(self):
         return len(self.costs)
@@ -94,30 +77,12 @@ class ContourSet:
         ``fixed`` maps dimension -> grid index for exactly-learnt epps.
         Results are cached; the cache key includes the pinned assignment.
         """
-        fixed_key = tuple(sorted((fixed or {}).items()))
-        key = (i, fixed_key)
-        cached = self._slice_cache.get(key)
-        if cached is not None:
-            return cached
-        shared_key = (float(self.costs[i]), fixed_key)
-        slice_ = self._shared_slices.get(shared_key)
+        key = (i, tuple(sorted((fixed or {}).items())))
+        slice_ = self._slice_cache.get(key)
         if slice_ is None:
             slice_ = self._compute_members(i, fixed or {})
-            self._shared_slices[shared_key] = slice_
-            while len(self._shared_slices) > CONTOUR_SLICE_CAP:
-                self._shared_slices.popitem(last=False)
-        self._slice_cache[key] = slice_
+            self._slice_cache[key] = slice_
         return slice_
-
-    def rebuild(self, ratio):
-        """A new ContourSet over the same space with a different ladder.
-
-        Only the budget ladder changes; every rung whose cost coincides
-        with an already-computed one (always at least ``c_min`` and
-        ``c_max``) reuses its cached members through the space-shared
-        slice cache instead of recomputing the frontier.
-        """
-        return ContourSet(self.space, ratio=ratio)
 
     def _compute_members(self, i, fixed):
         space = self.space

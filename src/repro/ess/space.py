@@ -7,18 +7,21 @@ Optimal Cost Surface of Fig. 3).
 
 Two build modes:
 
-* ``exact`` -- one DP optimizer call per grid point. Ground truth, used
-  by tests and small grids.
+* ``exact`` -- the optimal plan at every grid point: one batched DP
+  pass over the whole grid (kernel mode), or one scalar DP call per
+  point (``kernel=False``, the golden-grid reference). Ground truth.
 * ``fast`` -- optimize at seed locations (corners + random sample), then
   cost every discovered plan over the whole grid with vectorised numpy
   evaluation and take the argmin; iteratively validated against exact DP
   at random probes until no better plan is found. This is the standard
-  plan-diagram approximation and is orders of magnitude faster at high D.
+  plan-diagram approximation.
 
-Because the argmin is taken over *true optimizer plans*, the resulting
-surface still satisfies Plan Cost Monotonicity, and every cost it reports
-is achievable by a real plan; the only approximation risk is missing a
-plan whose optimality region evaded both seeding and validation probes.
+Both modes cost each distinct plan once over the whole grid and fold
+the surfaces into the running argmin. Because the argmin is taken over
+*true optimizer plans*, the resulting surface still satisfies Plan Cost
+Monotonicity, and every cost it reports is achievable by a real plan;
+the only approximation risk of ``fast`` is missing a plan whose
+optimality region evaded both seeding and validation probes.
 """
 
 from collections import OrderedDict
@@ -148,10 +151,6 @@ class ExplorationSpace:
         #: content address.
         self.kernel_enabled = bool(kernel)
         self._kernel = None
-        #: Optional cross-build reuse bank (a
-        #: :class:`~repro.session.cache.PlanBank`), attached by the
-        #: session before building.
-        self.bank = None
         #: Number of leading plans already folded into the surface
         #: (incremental ``_refresh_surface`` bookkeeping).
         self._surface_count = 0
@@ -166,8 +165,7 @@ class ExplorationSpace:
             return None
         if self._kernel is None:
             self._kernel = GridKernel(
-                self.grid, self.query.epps, self.cost_model,
-                surface_bank=self.bank)
+                self.grid, self.query.epps, self.cost_model)
         return self._kernel
 
     # ------------------------------------------------------------------
@@ -210,7 +208,7 @@ class ExplorationSpace:
         if cost is None:
             kernel = self.kernel
             if kernel is not None:
-                cost = kernel.plan_surface(tree, signature)
+                cost = kernel.plan_surface(tree)
             else:
                 cost = np.asarray(
                     self.cost_model.cost(tree, self._grid_assignment())
@@ -249,9 +247,7 @@ class ExplorationSpace:
         e.g. AlignedBound's constrained probes are paid once per sweep
         unit family instead of once per instance. The optimizer is
         deterministic per assignment, so memoization never changes an
-        outcome. A session-attached bank additionally shares results
-        across spaces of the same query whose grids overlap (corners
-        and endpoints coincide at every resolution).
+        outcome.
         """
         if not self.kernel_enabled:
             return self._optimize_uncached(index, spilling_on)
@@ -259,21 +255,10 @@ class ExplorationSpace:
         if key in self._dp_memo:
             self._dp_memo.move_to_end(key)
             return self._dp_memo[key]
-        bank_key = None
-        if self.bank is not None:
-            assignment = self.assignment_at(index)
-            bank_key = (spilling_on, self.optimizer.bushy,
-                        tuple(sorted(assignment.items())))
-            found, result = self.bank.get_plan(bank_key)
-            if found:
-                self._dp_memo[key] = result
-                self._trim_dp_memo()
-                return result
         result = self._optimize_uncached(index, spilling_on)
         self._dp_memo[key] = result
-        self._trim_dp_memo()
-        if bank_key is not None:
-            self.bank.put_plan(bank_key, result)
+        while len(self._dp_memo) > DP_MEMO_CAP:
+            self._dp_memo.popitem(last=False)
         return result
 
     def _optimize_uncached(self, index, spilling_on):
@@ -281,10 +266,6 @@ class ExplorationSpace:
         if spilling_on is None:
             return self.optimizer.optimize(assignment)
         return self.optimizer.optimize_spilling_on(spilling_on, assignment)
-
-    def _trim_dp_memo(self):
-        while len(self._dp_memo) > DP_MEMO_CAP:
-            self._dp_memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # build
@@ -302,22 +283,17 @@ class ExplorationSpace:
         return self
 
     def _build_exact(self):
-        plan_at = np.empty(self.grid.shape, dtype=np.int32)
         if self.kernel_enabled:
             # One vectorised DP pass over the entire grid instead of
-            # ``grid.size`` scalar optimizer invocations; registration
-            # order follows C order exactly as the scalar loop does.
+            # ``grid.size`` scalar optimizer invocations. Registering
+            # each DP variant at its first cell in C order registers
+            # the same plans in the same order as the per-cell loop.
             batch = self.optimizer.optimize_batch(self._grid_assignment())
-            flat = plan_at.reshape(-1)
-            for pos in range(self.grid.size):
-                info = self.register_plan(batch.plan_for(pos))
-                flat[pos] = info.id
+            for pos in batch.first_positions():
+                self.register_plan(batch.plan_for(pos))
         else:
             for index in self.grid.indices():
-                result = self.optimize_at(index)
-                info = self.register_plan(result.plan)
-                plan_at[index] = info.id
-        self.plan_at = plan_at
+                self.register_plan(self.optimize_at(index).plan)
         self._refresh_surface()
 
     def _build_fast(self, sample, validate, rng, max_rounds):
@@ -389,21 +365,23 @@ class ExplorationSpace:
     def _refresh_surface(self):
         """Fold registered plan surfaces into ``plan_at``/``opt_cost``.
 
-        Plans already folded (the first ``_surface_count``) are not
-        re-stacked: each new surface updates the running min/argmin
-        where strictly cheaper, which is array-identical to the full
-        ``np.argmin`` over the stack -- strict ``<`` keeps the earliest
-        plan id on ties, exactly like argmin's first-occurrence rule.
+        The fold starts from plan 0 and visits each plan once, across
+        calls (the first ``_surface_count`` are already folded): a new
+        surface updates the running min/argmin where strictly cheaper.
+        That is array-identical to ``np.argmin``/``np.min`` over the
+        stack of all surfaces -- strict ``<`` keeps the earliest plan id
+        on ties, exactly like argmin's first-occurrence rule -- without
+        ever allocating the ``(plans, *grid)`` stack.
         """
-        if self.opt_cost is None or self._surface_count == 0:
-            stack = np.stack([info.cost for info in self.plans])
-            self.plan_at = np.argmin(stack, axis=0).astype(np.int32)
-            self.opt_cost = np.min(stack, axis=0)
-        else:
-            for info in self.plans[self._surface_count:]:
-                better = info.cost < self.opt_cost
-                np.copyto(self.opt_cost, info.cost, where=better)
-                np.copyto(self.plan_at, np.int32(info.id), where=better)
+        start = self._surface_count
+        if start == 0:
+            self.opt_cost = np.array(self.plans[0].cost, dtype=float)
+            self.plan_at = np.zeros(self.grid.shape, dtype=np.int32)
+            start = 1
+        for info in self.plans[start:]:
+            better = info.cost < self.opt_cost
+            np.copyto(self.opt_cost, info.cost, where=better)
+            np.copyto(self.plan_at, np.int32(info.id), where=better)
         self._surface_count = len(self.plans)
 
     # ------------------------------------------------------------------

@@ -168,6 +168,15 @@ class BatchPlans:
     def signature_at(self, pos):
         return self._variants[int(self._vid[pos])][1]
 
+    def first_positions(self):
+        """Batch position of each variant's first occurrence, ascending.
+
+        Visiting these positions meets every distinct plan in the same
+        order as visiting all ``B`` positions, once per variant.
+        """
+        _vids, first = np.unique(self._vid, return_index=True)
+        return np.sort(first).tolist()
+
     def plan_for(self, pos):
         """The finalised optimal plan at batch position ``pos``."""
         vid = int(self._vid[pos])

@@ -33,8 +33,6 @@ import os
 import threading
 from collections import OrderedDict
 
-import numpy as np
-
 from repro.common.atomicio import FileLock, LockTimeoutError
 from repro.common.errors import DiscoveryError
 from repro.ess.contours import ContourSet
@@ -44,11 +42,6 @@ from repro.obs.tracer import NULL_TRACER
 
 #: Default number of spaces kept in the in-memory LRU tier.
 MEMORY_SLOTS = 64
-
-#: Plan-bank LRU caps: cost surfaces are grid-sized float64 arrays,
-#: memoized DP results are small plan objects.
-SURFACE_SLOTS = 4096
-PLAN_SLOTS = 65536
 
 
 class SpaceKey:
@@ -167,152 +160,6 @@ class CacheStats:
         return "CacheStats(%s)" % self.describe()
 
 
-class BankStats:
-    """Counters for plan-bank (surface / DP result) reuse."""
-
-    __slots__ = ("surface_hits", "surface_misses", "plan_hits",
-                 "plan_misses")
-
-    def __init__(self):
-        self.surface_hits = 0
-        self.surface_misses = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-
-    def describe(self):
-        return ("plan bank: %d/%d surface hits, %d/%d DP-result hits" % (
-            self.surface_hits, self.surface_hits + self.surface_misses,
-            self.plan_hits, self.plan_hits + self.plan_misses))
-
-    def __repr__(self):
-        return "BankStats(%s)" % self.describe()
-
-
-class PlanBank:
-    """Cross-build store of plan cost surfaces and DP results.
-
-    Two content-addressed LRU maps shared by every space the session
-    builds:
-
-    * **surfaces** -- grid-shaped plan cost arrays keyed by (query
-      scope, grid geometry, plan signature). A plan discovered by a
-      fast build, an exact build, and every sweep unit of the same
-      query is costed over a given grid exactly once.
-    * **DP results** -- memoized optimizer outcomes keyed by (query
-      scope, spill constraint, join-space mode, exact selectivity
-      assignment). Because grids pin their endpoints, corners and
-      endpoints coincide bitwise across resolutions, so spaces of the
-      same query at different resolutions share those calls.
-
-    Both maps only ever carry values a fresh computation would produce
-    bit-identically (surfaces are pure functions of (plan, grid); the
-    DP is deterministic per assignment), so the bank changes *when*
-    work happens, never *what* is produced. All access is mutex-guarded
-    for the serving daemon's thread pool; stored surfaces are read-only
-    arrays.
-    """
-
-    def __init__(self, surface_slots=SURFACE_SLOTS, plan_slots=PLAN_SLOTS):
-        self._surfaces = OrderedDict()
-        self._plans = OrderedDict()
-        self._mutex = threading.RLock()
-        self.surface_slots = surface_slots
-        self.plan_slots = plan_slots
-        self.stats = BankStats()
-
-    def scope(self, query):
-        """A view of the bank bound to one query/catalog identity."""
-        scope = (query.name, tuple(query.epps),
-                 tuple(sorted(query.tables)), query.catalog.name)
-        return ScopedBank(self, scope)
-
-    @staticmethod
-    def _grid_key(grid):
-        digest = hashlib.sha1()
-        for values in grid.values:
-            digest.update(np.ascontiguousarray(values).tobytes())
-        return (tuple(grid.shape), digest.hexdigest())
-
-    # -- surfaces ------------------------------------------------------
-
-    def get_surface(self, scope, grid, signature):
-        key = (scope, self._grid_key(grid), signature)
-        with self._mutex:
-            surface = self._surfaces.get(key)
-            if surface is not None:
-                self._surfaces.move_to_end(key)
-                self.stats.surface_hits += 1
-                return surface
-            self.stats.surface_misses += 1
-        return None
-
-    def put_surface(self, scope, grid, signature, surface):
-        key = (scope, self._grid_key(grid), signature)
-        with self._mutex:
-            self._surfaces[key] = surface
-            self._surfaces.move_to_end(key)
-            while len(self._surfaces) > self.surface_slots:
-                self._surfaces.popitem(last=False)
-
-    # -- DP results ----------------------------------------------------
-
-    def get_plan(self, scope, key):
-        """``(found, result)`` -- ``found`` distinguishes a cached
-        ``None`` (constrained DP proved unsatisfiable) from a miss."""
-        full = (scope, key)
-        with self._mutex:
-            if full in self._plans:
-                self._plans.move_to_end(full)
-                self.stats.plan_hits += 1
-                return True, self._plans[full]
-            self.stats.plan_misses += 1
-        return False, None
-
-    def put_plan(self, scope, key, result):
-        full = (scope, key)
-        with self._mutex:
-            self._plans[full] = result
-            self._plans.move_to_end(full)
-            while len(self._plans) > self.plan_slots:
-                self._plans.popitem(last=False)
-
-    def clear(self):
-        with self._mutex:
-            self._surfaces.clear()
-            self._plans.clear()
-
-
-class ScopedBank:
-    """Query-scoped facade over a :class:`PlanBank`.
-
-    This is the object attached as ``space.bank`` -- it carries the
-    query identity so the space and its :class:`GridKernel` never key
-    by anything weaker than (query, catalog, grid, content).
-    """
-
-    __slots__ = ("_bank", "_scope")
-
-    def __init__(self, bank, scope):
-        self._bank = bank
-        self._scope = scope
-
-    @property
-    def stats(self):
-        return self._bank.stats
-
-    def get_surface(self, grid, signature):
-        return self._bank.get_surface(self._scope, grid, signature)
-
-    def put_surface(self, grid, signature, surface):
-        self._bank.put_surface(self._scope, grid, signature, surface)
-
-    def get_plan(self, key):
-        return self._bank.get_plan(self._scope, key)
-
-    def put_plan(self, key, result):
-        self._bank.put_plan(self._scope, key, result)
-
-
 class _Entry:
     """One cached space plus its derived contour sets, keyed by ratio."""
 
@@ -350,9 +197,6 @@ class ArtifactCache:
         self._entries = OrderedDict()
         self._mutex = threading.RLock()
         self.stats = CacheStats()
-        #: Cross-build plan/surface reuse bank, shared by every space
-        #: this cache hands out (scoped per query via ``bank.scope``).
-        self.bank = PlanBank()
 
     def __len__(self):
         with self._mutex:

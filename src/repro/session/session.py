@@ -203,11 +203,6 @@ class RobustSession:
         def build():
             space = ExplorationSpace(query, resolution=resolution,
                                      s_min=s_min, kernel=self.kernel)
-            if self.kernel:
-                # Cross-build reuse: plan surfaces and DP results are
-                # shared with every other space of this query the
-                # session constructs (other resolutions, sweep units).
-                space.bank = self.cache.bank.scope(query)
             return space.build(mode=mode, rng=rng)
 
         return build

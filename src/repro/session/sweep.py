@@ -77,7 +77,7 @@ def spec_engine_factory(spec, space, database, fault_seed, unit):
 
 
 def session_reuse_summary(session):
-    """Reuse counters of ``session``: artifact cache plus plan bank.
+    """Reuse counters of ``session``'s artifact cache.
 
     Shared by :meth:`SweepDriver.reuse_summary`, the ``repro sweep``
     report and the atlas stats sidecar, so every surface quantifies
@@ -87,22 +87,13 @@ def session_reuse_summary(session):
     canonical summary and in a sidecar instead.
     """
     stats = session.stats
-    summary = {
+    return {
         "space_memory_hits": stats.memory_hits,
         "space_disk_hits": stats.disk_hits,
         "space_builds": stats.builds,
         "contour_hits": stats.contour_hits,
         "contour_builds": stats.contour_builds,
     }
-    bank = getattr(session.cache, "bank", None)
-    if bank is not None:
-        summary.update({
-            "surface_hits": bank.stats.surface_hits,
-            "surface_misses": bank.stats.surface_misses,
-            "dp_result_hits": bank.stats.plan_hits,
-            "dp_result_misses": bank.stats.plan_misses,
-        })
-    return summary
 
 
 class SweepRecord:
@@ -269,13 +260,12 @@ class SweepDriver:
         return cached
 
     def reuse_summary(self):
-        """Cross-unit reuse counters: session cache + plan bank.
+        """Cross-unit reuse counters of the session's artifact cache.
 
         Sweep units sharing a query share one space (and therefore one
-        DP memo, one surface set and one contour-slice cache); the bank
-        additionally shares plan costings across resolutions. These
-        counters quantify how much of the sweep's work was served from
-        that reuse instead of recomputed.
+        DP memo and one subtree-tensor cache) and one contour set per
+        ratio (one contour-slice cache). These counters say how many
+        space and contour lookups that sharing served without a build.
         """
         return session_reuse_summary(self.session)
 

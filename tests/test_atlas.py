@@ -5,7 +5,7 @@ The contracts under test (DESIGN.md §14):
 * the canonical summary is a pure function of the config -- two runs at
   the same seed serialise byte-identically, serial or ``--workers N``;
 * the journal makes an atlas resumable with bit-identical replays;
-* a two-resolution atlas shares plan-bank work across resolutions;
+* a two-resolution atlas builds one space per resolution;
 * the baseline gate fails (naming suite, query and metric) on injected
   regressions and passes on a pristine baseline.
 """
@@ -129,16 +129,14 @@ class TestSummary:
 
 
 class TestReuseAndJournal:
-    def test_two_resolution_run_hits_plan_bank(self):
-        # AlignedBound's constrained DP probes land on grid corners
-        # that coincide bitwise across resolutions, so the second
-        # resolution must be served partly from the bank (PR 9).
+    def test_two_resolution_run_builds_one_space_per_resolution(self):
+        # One session serves every resolution: both algorithms share
+        # each resolution's space, so the run builds exactly two.
         config = AtlasConfig(queries=("2D_EQ",), regimes=("baseline",),
                              algorithms=("spillbound", "alignedbound"),
                              resolutions=(4, 7))
         result = run_atlas(config)
         reuse = result.stats()["reuse"]
-        assert reuse["dp_result_hits"] > 0
         assert reuse["space_builds"] == 2
 
     def test_journal_resume_replays_bit_identically(self, tmp_path):
@@ -155,7 +153,7 @@ class TestReuseAndJournal:
     def test_stats_stay_out_of_summary(self):
         result = run_atlas(AtlasConfig(**CONFIG))
         text = canonical_json(build_summary(result))
-        for volatile in ("space_memory_hits", "surface_hits",
+        for volatile in ("space_memory_hits", "contour_builds",
                          "replayed", "journal"):
             assert volatile not in text
 
@@ -384,4 +382,4 @@ class TestSweepReuseOutput:
              "--journal", str(tmp_path / "journal")], capsys)
         assert code == 0
         assert "Artifact reuse" in out
-        assert "dp_result_hits" in out
+        assert "contour_hits" in out

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.session import default_session
 
 
 def run_cli(argv, capsys):
@@ -57,6 +58,20 @@ class TestCommands:
         assert code == 0
         assert "spillbound" in out
         assert "planbouquet" in out
+
+    def test_faulty_sweep_degrades_instead_of_aborting(self, capsys,
+                                                       tmp_path):
+        # A faulty engine layer guards every run with the default
+        # RetryPolicy; the process-wide session's policy stays as is.
+        policy = default_session().guard_policy
+        code, out = run_cli(
+            ["sweep", "2D_Q91", "--resolution", "6", "--sample", "10",
+             "--journal", str(tmp_path / "j"),
+             "--engine", "simulated+faulty(crash=0.05,transient=0.05)",
+             "--fault-seed", "3"], capsys)
+        assert code == 0
+        assert "degraded" in out
+        assert default_session().guard_policy is policy
 
     def test_run_trace_then_show(self, capsys, tmp_path):
         """Acceptance: ``run --algo ... --trace`` then ``trace show``

@@ -25,7 +25,6 @@ from repro.ess.space import (
 from repro.ess.synthetic import textbook_space
 from repro.harness.workloads import q15
 from repro.optimizer.dp import Optimizer
-from repro.session.cache import PlanBank
 from repro.session.session import RobustSession
 from repro.session.sweep import SweepDriver
 
@@ -220,23 +219,7 @@ def test_incremental_refresh_one_plan_at_a_time():
 
 
 # ----------------------------------------------------------------------
-# contour slice sharing across ladders
-
-
-def test_contour_rebuild_reuses_coincident_rungs():
-    query = q15(epps=("cs_c", "c_ca"))
-    space = ExplorationSpace(query, resolution=6).build(mode="fast")
-    doubling = ContourSet(space, ratio=2.0)
-    for i in range(len(doubling)):
-        doubling.members(i)
-    rebuilt = doubling.rebuild(ratio=4.0)
-    assert rebuilt.costs[0] == doubling.costs[0]
-    assert rebuilt.costs[-1] == doubling.costs[-1]
-    # Coincident rungs are served from the space-shared slice cache --
-    # the very same ContourSlice objects, not recomputations.
-    assert rebuilt.members(0) is doubling.members(0)
-    assert rebuilt.members(len(rebuilt) - 1) is \
-        doubling.members(len(doubling) - 1)
+# contour members over batched spaces
 
 
 def test_contour_members_unchanged_by_sharing():
@@ -251,22 +234,7 @@ def test_contour_members_unchanged_by_sharing():
 
 
 # ----------------------------------------------------------------------
-# cross-build reuse (plan bank, DP memo, driver artifact memo)
-
-
-def test_plan_bank_shares_surfaces_across_builds():
-    query = q15(epps=("cs_c", "c_ca"))
-    bank = PlanBank().scope(query)
-    first = ExplorationSpace(query, resolution=5)
-    first.bank = bank
-    first.build(mode="fast")
-    misses = bank.stats.surface_misses
-    assert misses >= len(first.plans)
-    second = ExplorationSpace(query, resolution=5)
-    second.bank = bank
-    second.build(mode="fast")
-    assert bank.stats.surface_hits >= len(second.plans)
-    _assert_spaces_identical(first, second)
+# reuse within a space and a sweep (DP memo, driver artifact memo)
 
 
 def test_dp_memo_shared_across_algorithm_instances():
@@ -289,21 +257,3 @@ def test_sweep_driver_memoizes_artifacts_and_reports_reuse():
     list(driver.run([query], algorithms=("spillbound",)))
     summary = driver.reuse_summary()
     assert summary["space_builds"] == 1
-    for key in ("surface_hits", "surface_misses",
-                "dp_result_hits", "dp_result_misses"):
-        assert key in summary
-
-
-def test_session_reuses_dp_results_across_resolutions():
-    session = RobustSession(kernel=True)
-    query = q15(epps=("cs_c", "c_ca"))
-    coarse = session.space(query, resolution=5)
-    for corner in (coarse.grid.origin, coarse.grid.terminus):
-        coarse.optimize_at(corner)
-    hits_before = session.cache.bank.stats.plan_hits
-    # Grid endpoints are pinned, so corner assignments coincide bitwise
-    # across resolutions and their DP calls are served from the bank.
-    fine = session.space(query, resolution=7)
-    for corner in (fine.grid.origin, fine.grid.terminus):
-        fine.optimize_at(corner)
-    assert session.cache.bank.stats.plan_hits >= hits_before + 2
