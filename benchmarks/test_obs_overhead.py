@@ -34,10 +34,10 @@ SAFETY_FACTOR = 2
 class _CountingNull:
     """A disabled tracer whose ``enabled`` reads are counted.
 
-    Installing it through ``set_tracer`` exercises exactly the
-    production disabled path (no site gets past the guard, nothing is
-    attached to engines), while ``checks`` records how many guard
-    checks the run actually performed.
+    Passing it as the runs' ``tracer`` exercises exactly the production
+    disabled path (no site gets past the guard, nothing is attached to
+    engines), while ``checks`` records how many guard checks the run
+    actually performed.
     """
 
     def __init__(self):
@@ -78,13 +78,10 @@ def test_obs_overhead(benchmark):
 
     # Identical sweep with the counting probe: exact check census.
     probe = _CountingNull()
-    probed = exhaustive_sweep(algorithm.set_tracer(probe),
-                              sample=128, rng=0)
+    probed = exhaustive_sweep(algorithm, sample=128, rng=0, tracer=probe)
     # And once fully traced, to confirm tracing changes nothing.
     tracer = Tracer()
-    traced = exhaustive_sweep(algorithm.set_tracer(tracer),
-                              sample=128, rng=0)
-    algorithm.set_tracer(None)
+    traced = exhaustive_sweep(algorithm, sample=128, rng=0, tracer=tracer)
     assert probed.mso == sweep.mso
     assert traced.mso == sweep.mso
 

@@ -129,74 +129,71 @@ def engine_label(engine):
     return "simulated"
 
 
+def begin_traced_run(tracer, name, qa_index, engine):
+    """Open a traced run's bracket and hand ``tracer`` to its engines.
+
+    Engines delegate to wrapped inner engines (``FaultyEngine.base``,
+    ``DeadlineEngine.engine``); every layer that can emit events gets
+    the run's sink. Slotted wrappers without a ``tracer`` slot are
+    skipped silently.
+    """
+    layer, seen = engine, set()
+    while layer is not None and id(layer) not in seen:
+        seen.add(id(layer))
+        try:
+            layer.tracer = tracer
+        except AttributeError:
+            pass
+        layer = getattr(layer, "base", None) \
+            or getattr(layer, "engine", None)
+    tracer.begin_run(name, qa_index, engine=engine_label(engine))
+
+
+def end_traced_run(tracer, result):
+    """Attach a finished run's metrics snapshot to ``extras["obs"]``
+    and close its bracket with the run's totals."""
+    result.extras["obs"] = run_metrics(result).snapshot()
+    tracer.end_run(
+        algorithm=result.algorithm,
+        total_cost=float(result.total_cost),
+        optimal_cost=float(result.optimal_cost),
+        sub_optimality=float(result.sub_optimality),
+        executions=result.num_executions,
+    )
+
+
 class RobustAlgorithm:
-    """Base class: holds the space and provides the engine factory."""
+    """Base class: holds the space and provides the engine factory.
+
+    An instance holds no per-run state: a run's engine, checkpoint and
+    trace sink are arguments of :meth:`run`, so one run's events never
+    land in another run's trace.
+    """
 
     #: Short name used in reports; subclasses override.
     name = "abstract"
-
-    #: Trace sink; the class-level :data:`~repro.obs.tracer.NULL_TRACER`
-    #: default means untraced instances pay one attribute check per
-    #: instrumentation site and never allocate event payloads.
-    tracer = NULL_TRACER
 
     def __init__(self, space):
         if not space.built:
             raise DiscoveryError("exploration space must be built first")
         self.space = space
 
-    def set_tracer(self, tracer):
-        """Install a trace sink (``None`` restores the no-op default)."""
-        if tracer is None:
-            tracer = NULL_TRACER
-        self.tracer = tracer
-        return self
-
-    def _attach_tracer(self, engine):
-        """Propagate this algorithm's tracer down an engine stack.
-
-        Engines delegate to wrapped inner engines (``FaultyEngine.base``,
-        ``DeadlineEngine.engine``); every layer that can emit events gets
-        the same sink. Slotted wrappers without a ``tracer`` slot are
-        skipped silently.
-        """
-        seen = set()
-        while engine is not None and id(engine) not in seen:
-            seen.add(id(engine))
-            try:
-                engine.tracer = self.tracer
-            except AttributeError:
-                pass
-            engine = getattr(engine, "base", None) \
-                or getattr(engine, "engine", None)
-
-    def _trace_run_end(self, result):
-        """Record a finished run's executions/totals and attach its
-        metrics snapshot to ``extras["obs"]``; no-op when untraced.
-
-        Used by the single-execution baselines; the bouquet algorithms
-        emit execution events as they happen and close the bracket
-        themselves.
-        """
-        if not self.tracer.enabled:
-            return result
-        for record in result.executions:
-            self.tracer.event("execution", **record.as_event())
-        result.extras["obs"] = run_metrics(result).snapshot()
-        self.tracer.end_run(
-            algorithm=result.algorithm,
-            total_cost=float(result.total_cost),
-            optimal_cost=float(result.optimal_cost),
-            sub_optimality=float(result.sub_optimality),
-            executions=result.num_executions,
-        )
+    @staticmethod
+    def _trace_run_end(result, tracer):
+        """Record a finished single-execution run (native/oracle
+        baselines) at run end; no-op when untraced."""
+        if tracer.enabled:
+            for record in result.executions:
+                tracer.event("execution", **record.as_event())
+            end_traced_run(tracer, result)
         return result
 
     def engine_for(self, qa_index):
         """Create a fresh engine hiding ``qa_index`` as the truth."""
         return SimulatedEngine(self.space, qa_index)
 
-    def run(self, qa_index, engine=None, checkpoint=None):
+    def run(self, qa_index, engine=None, checkpoint=None,
+            tracer=NULL_TRACER):
         """Simulate the discovery sequence for truth ``qa_index``.
 
         ``engine`` optionally substitutes a different execution
@@ -207,7 +204,10 @@ class RobustAlgorithm:
         additionally seeds the run so it resumes from the recorded
         contour instead of re-learning from contour 1. Capturing is
         passive: with an empty checkpoint the execution sequence is
-        identical to a checkpoint-free run.
+        identical to a checkpoint-free run. ``tracer`` receives this
+        run's events (and is handed to its engines); the default
+        :data:`~repro.obs.tracer.NULL_TRACER` costs one attribute check
+        per instrumentation site and allocates no event payloads.
         """
         raise NotImplementedError
 

@@ -15,7 +15,8 @@ Two MSO notions are provided:
 import numpy as np
 
 from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    engine_label
+    begin_traced_run
+from repro.obs.tracer import NULL_TRACER
 
 
 class NativeOptimizer(RobustAlgorithm):
@@ -45,14 +46,12 @@ class NativeOptimizer(RobustAlgorithm):
         """The grid location the optimizer believes in."""
         return self._qe_index
 
-    def run(self, qa_index, engine=None, checkpoint=None):
+    def run(self, qa_index, engine=None, checkpoint=None,
+            tracer=NULL_TRACER):
         qa_index = tuple(qa_index)
         plan = self._qe_plan
-        if self.tracer.enabled:
-            if engine is not None:
-                self._attach_tracer(engine)
-            self.tracer.begin_run(self.name, qa_index,
-                                   engine=engine_label(engine))
+        if tracer.enabled:
+            begin_traced_run(tracer, self.name, qa_index, engine)
         if engine is not None:
             cost = engine.execute(plan, float("inf")).spent
         else:
@@ -71,7 +70,7 @@ class NativeOptimizer(RobustAlgorithm):
             else engine.optimal_cost
         )
         return self._trace_run_end(
-            RunResult(self.name, qa_index, cost, optimal, [record]))
+            RunResult(self.name, qa_index, cost, optimal, [record]), tracer)
 
     def worst_case_mso(self):
         """Eq. (2): max over every (qe, qa) grid pair of SubOpt(qe, qa).

@@ -6,7 +6,8 @@ absolute reference point.
 """
 
 from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    engine_label
+    begin_traced_run
+from repro.obs.tracer import NULL_TRACER
 
 
 class Oracle(RobustAlgorithm):
@@ -14,14 +15,12 @@ class Oracle(RobustAlgorithm):
 
     name = "oracle"
 
-    def run(self, qa_index, engine=None, checkpoint=None):
+    def run(self, qa_index, engine=None, checkpoint=None,
+            tracer=NULL_TRACER):
         qa_index = tuple(qa_index)
         plan = self.space.optimal_plan(qa_index)
-        if self.tracer.enabled:
-            if engine is not None:
-                self._attach_tracer(engine)
-            self.tracer.begin_run(self.name, qa_index,
-                                   engine=engine_label(engine))
+        if tracer.enabled:
+            begin_traced_run(tracer, self.name, qa_index, engine)
         if engine is not None:
             outcome = engine.execute(plan, float("inf"))
             cost = outcome.spent
@@ -38,7 +37,7 @@ class Oracle(RobustAlgorithm):
         )
         optimal = cost if engine is None else engine.optimal_cost
         return self._trace_run_end(
-            RunResult(self.name, qa_index, cost, optimal, [record]))
+            RunResult(self.name, qa_index, cost, optimal, [record]), tracer)
 
     def mso_guarantee(self):
         return 1.0

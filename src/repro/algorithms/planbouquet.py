@@ -14,11 +14,11 @@ plan cardinality of the densest contour after reduction -- the
 import math
 
 from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    engine_label
+    begin_traced_run, end_traced_run
 from repro.common.errors import DiscoveryError
 from repro.ess.anorexic import anorexic_reduction
 from repro.ess.contours import ContourSet
-from repro.obs.metrics import run_metrics
+from repro.obs.tracer import NULL_TRACER
 
 
 class PlanBouquet(RobustAlgorithm):
@@ -65,14 +65,12 @@ class PlanBouquet(RobustAlgorithm):
         the randomized variant overrides this)."""
         return self.contour_plans[i]
 
-    def run(self, qa_index, engine=None, checkpoint=None):
+    def run(self, qa_index, engine=None, checkpoint=None,
+            tracer=NULL_TRACER):
         qa_index = tuple(qa_index)
         engine = engine or self.engine_for(qa_index)
-        tracer = self.tracer
         if tracer.enabled:
-            self._attach_tracer(engine)
-            tracer.begin_run(self.name, qa_index,
-                             engine=engine_label(engine))
+            begin_traced_run(tracer, self.name, qa_index, engine)
         factor = self.budget_factor()
         records = []
         start = 0
@@ -100,25 +98,15 @@ class PlanBouquet(RobustAlgorithm):
                 if tracer.enabled:
                     tracer.event("execution", **record.as_event())
                 if outcome.completed:
-                    return self._result(qa_index, engine, records)
+                    result = RunResult(
+                        self.name, qa_index,
+                        math.fsum(r.spent for r in records),
+                        engine.optimal_cost, records)
+                    if tracer.enabled:
+                        end_traced_run(tracer, result)
+                    return result
         raise DiscoveryError(
             "%s exhausted all contours without completing; "
             "the contour frontier does not dominate the hypograph"
             % type(self).__name__
         )
-
-    def _result(self, qa_index, engine, records):
-        total = math.fsum(r.spent for r in records)
-        result = RunResult(
-            self.name, qa_index, total, engine.optimal_cost, records,
-        )
-        if self.tracer.enabled:
-            result.extras["obs"] = run_metrics(result).snapshot()
-            self.tracer.end_run(
-                algorithm=self.name,
-                total_cost=total,
-                optimal_cost=float(engine.optimal_cost),
-                sub_optimality=float(result.sub_optimality),
-                executions=len(records),
-            )
-        return result

@@ -20,10 +20,9 @@ import math
 import numpy as np
 
 from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    engine_label
+    begin_traced_run, end_traced_run
 from repro.common.errors import DiscoveryError
 from repro.ess.contours import ContourSet
-from repro.obs.metrics import run_metrics
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -86,14 +85,13 @@ class SpillBound(RobustAlgorithm):
 
     # ------------------------------------------------------------------
 
-    def run(self, qa_index, engine=None, checkpoint=None):
+    def run(self, qa_index, engine=None, checkpoint=None,
+            tracer=NULL_TRACER):
         qa_index = tuple(qa_index)
         engine = engine or self.engine_for(qa_index)
-        if self.tracer.enabled:
-            self._attach_tracer(engine)
-            self.tracer.begin_run(self.name, qa_index,
-                                   engine=engine_label(engine))
-        state = _DiscoveryState(self.space, checkpoint, tracer=self.tracer)
+        if tracer.enabled:
+            begin_traced_run(tracer, self.name, qa_index, engine)
+        state = _DiscoveryState(self.space, checkpoint, tracer=tracer)
         m = len(self.contours)
         i = 0
         if checkpoint is not None and checkpoint.active:
@@ -310,12 +308,5 @@ class _DiscoveryState:
             extras=dict(self.extras),
         )
         if self.tracer.enabled:
-            result.extras["obs"] = run_metrics(result).snapshot()
-            self.tracer.end_run(
-                algorithm=name,
-                total_cost=total,
-                optimal_cost=float(engine.optimal_cost),
-                sub_optimality=float(result.sub_optimality),
-                executions=len(self.records),
-            )
+            end_traced_run(self.tracer, result)
         return result

@@ -288,14 +288,10 @@ def collect_exhibits(result, limit=6):
             resolution=unit.resolution)
         if space.grid.dims != 2:
             continue
-        instance = session.algorithm(unit.algorithm, space=space,
-                                     contours=contours)
         tracer = Tracer()
-        instance.set_tracer(tracer)
-        try:
-            run = instance.run(unit.sweep.worst_location())
-        finally:
-            instance.set_tracer(None)
+        run = session.algorithm(unit.algorithm, space=space,
+                                contours=contours).run(
+            unit.sweep.worst_location(), tracer=tracer)
         unit.exhibit = {
             "space": space,
             "contours": contours,

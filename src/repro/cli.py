@@ -340,7 +340,7 @@ def build_parser():
     return parser
 
 
-def _sweep(out, session, query, space, algorithms, args):
+def _sweep(out, session, query, algorithms, args):
     """``sweep``: every (query, algorithm) unit runs through one
     :class:`~repro.session.SweepDriver`.
 
@@ -356,14 +356,20 @@ def _sweep(out, session, query, space, algorithms, args):
     from repro.session import SweepDriver
     from repro.session.registry import EngineSpec
 
-    if args.engine is not None and not session.guard_policy and any(
-            name == "faulty"
-            for name, _kwargs in EngineSpec.parse(args.engine).layers):
+    faulty = args.engine is not None and not session.guard_policy and any(
+        name == "faulty"
+        for name, _kwargs in EngineSpec.parse(args.engine).layers)
+    dbspec = _database_spec(args)
+    if faulty or dbspec is not None:
         # A shallow copy shares the artifact cache but leaves the
-        # process-wide session's policy alone; ``--workers`` processes
-        # rehydrate the copy's ``guard_policy``.
+        # process-wide session's policy and row store alone;
+        # ``--workers`` processes rehydrate the copy's ``guard_policy``
+        # and ``database``.
         session = copy.copy(session)
-        session.guard_policy = RetryPolicy()
+        if faulty:
+            session.guard_policy = RetryPolicy()
+        if dbspec is not None:
+            session.database = dbspec
 
     deadline = None
     if args.deadline is not None or args.cost_budget is not None:
@@ -385,7 +391,9 @@ def _sweep(out, session, query, space, algorithms, args):
         trace_dir=getattr(args, "trace_dir", None))
 
     rows = []
+    truths = 0
     for record in driver.run([query], algorithms):
+        truths = record.sweep.sub_optimalities.size
         degraded, reasons = sweep_degradation(record.sweep.extras)
         rows.append((
             record.algorithm,
@@ -400,8 +408,8 @@ def _sweep(out, session, query, space, algorithms, args):
     out.write(format_table(
         ["algorithm", "MSOg", "MSOe", "ASO", "source", "degraded",
          "reasons"], rows,
-        title="Empirical robustness for %s (%d locations)" %
-              (query.name, space.grid.size)) + "\n")
+        title="Empirical robustness for %s (%d truths)" %
+              (query.name, truths)) + "\n")
     out.write(format_table(
         ["counter", "value"], sorted(driver.reuse_summary().items()),
         title="Artifact reuse (session cache)") + "\n")
@@ -474,10 +482,15 @@ def main(argv=None):
             from repro.engine.faulty import FaultPlan
             from repro.robustness import RetryPolicy
             plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-            engine = session.engine(
-                space, qa_index=qa,
-                spec=(args.engine or "simulated") + "+faulty()",
-                plan=plan, database=dbspec)
+            # repr round-trips each knob exactly; "+" separates spec
+            # layers, so an exponent drops its sign.
+            knobs = ",".join("%s=%r" % (knob, getattr(plan, attr))
+                             for knob, attr in FaultPlan.knobs().items())
+            spec = "%s+faulty(%s,seed=%d)" % (
+                args.engine or "simulated", knobs.replace("e+", "e"),
+                plan.seed)
+            engine = session.engine(space, qa_index=qa, spec=spec,
+                                    database=dbspec)
             algorithm = session.algorithm(
                 algorithm,
                 guard=RetryPolicy(max_retries=args.max_retries))
@@ -486,16 +499,14 @@ def main(argv=None):
             # data; report the run against that location, not the
             # midpoint default.
             qa = tuple(getattr(engine, "qa_index", qa))
-        tracer = None
+        tracer = session.tracer
         if args.trace is not None:
             from repro.obs import Tracer
             tracer = Tracer(args.trace)
-            algorithm.set_tracer(tracer)
         try:
-            result = algorithm.run(qa, engine=engine)
+            result = algorithm.run(qa, engine=engine, tracer=tracer)
         finally:
-            if tracer is not None:
-                algorithm.set_tracer(None)
+            if args.trace is not None:
                 tracer.close()
         rows = [
             (r.contour + 1, r.mode, "P%d" % (r.plan_id + 1),
@@ -520,14 +531,10 @@ def main(argv=None):
         return 0
 
     if args.command == "sweep":
-        query = workload(args.workload)
-        space = session.space(query, resolution=args.resolution)
-        dbspec = _database_spec(args)
-        if dbspec is not None:
-            session.database = dbspec
         algorithms = [a.strip() for a in args.algorithms.split(",")
                       if a.strip()]
-        return _sweep(out, session, query, space, algorithms, args)
+        return _sweep(out, session, workload(args.workload), algorithms,
+                      args)
 
     if args.command == "atlas":
         from repro.atlas.cli import atlas_main

@@ -72,9 +72,9 @@ class SimulatedEngine:
     #: so obs traces can tag every run with where it actually ran.
     backend_name = "simulated"
 
-    #: Trace sink; installed by the running algorithm's
-    #: ``_attach_tracer`` so engine layers (fault injection, deadlines)
-    #: can emit events into the same stream.
+    #: Trace sink; a traced run hands its tracer down the engine stack
+    #: (:func:`~repro.algorithms.base.begin_traced_run`) so engine
+    #: layers (fault injection, deadlines) emit into the same stream.
     tracer = NULL_TRACER
 
     def __init__(self, space, qa_index, spill_cache_cap=SPILL_CACHE_CAP):

@@ -494,7 +494,6 @@ def fault_sweep(name="2D_Q91", rates=(0.0, 0.05, 0.1, 0.2, 0.4),
     :class:`~repro.robustness.durable.CircuitBreaker`. All default to
     off, reproducing the historical accounting exactly.
     """
-    from repro.engine.faulty import FaultPlan
     from repro.robustness import DiscoveryGuard, RetryPolicy
     from repro.robustness.durable import CircuitBreaker, Deadline
     from repro.session import EngineSpec
@@ -536,14 +535,10 @@ def fault_sweep(name="2D_Q91", rates=(0.0, 0.05, 0.1, 0.2, 0.4),
         answered = 0.0
         for flat in flats:
             qa = grid.unflat(int(flat))
-            plan = FaultPlan(
-                crash_rate=rate,
-                transient_rate=rate / 2.0,
-                corruption_rate=rate / 2.0,
-                drift_rate=rate / 2.0,
-                seed=fault_seed + 997 * int(flat),
-            )
-            engine = spec.build(space, qa_index=qa, plan=plan)
+            engine = spec.build(
+                space, qa_index=qa, crash=rate, transient=rate / 2.0,
+                corrupt=rate / 2.0, drift=rate / 2.0,
+                seed=fault_seed + 997 * int(flat))
             result = guard.run(qa, engine=engine)
             subopts.append(result.sub_optimality)
             extras = result.extras

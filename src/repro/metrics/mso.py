@@ -9,6 +9,7 @@ ASO (Eq. 8, uniform prior over locations).
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER
 
 
 class SweepResult:
@@ -145,7 +146,7 @@ def sample_locations(grid, sample, rng):
 
 
 def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
-                     engine_factory=None):
+                     engine_factory=None, tracer=NULL_TRACER):
     """Run ``algorithm`` with every grid location as the hidden truth.
 
     Parameters
@@ -162,6 +163,8 @@ def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
     engine_factory:
         Optional ``f(qa_index) -> engine`` substituting the execution
         environment per run (e.g. a cost-model-error engine).
+    tracer:
+        Trace sink handed to every run (one stream for the sweep).
 
     Returns a :class:`SweepResult` whose array is grid-shaped for full
     sweeps and flat for sampled sweeps. Degradation accounting from
@@ -173,7 +176,7 @@ def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
 
     def run_at(index):
         engine = engine_factory(index) if engine_factory else None
-        result = algorithm.run(index, engine=engine)
+        result = algorithm.run(index, engine=engine, tracer=tracer)
         acc.add_result(result)
         return result.sub_optimality
 

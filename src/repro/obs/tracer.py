@@ -71,7 +71,7 @@ class NullTracer:
     """No-op tracer: the default wired into every hot path.
 
     Instrumentation sites check ``tracer.enabled`` before building event
-    payloads, so with this tracer installed the only cost a run pays is
+    payloads, so with this tracer the only cost a run pays is
     that attribute check. All methods exist (and do nothing) so code
     that holds a tracer never needs an ``is None`` branch.
     """
@@ -100,7 +100,7 @@ class NullTracer:
 
 
 #: Process-wide no-op singleton; the default value of every ``tracer``
-#: attribute in the pipeline.
+#: argument and attribute in the pipeline.
 NULL_TRACER = NullTracer()
 
 

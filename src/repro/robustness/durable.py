@@ -479,10 +479,6 @@ class SweepJournal:
     being silently skipped.
     """
 
-    #: Trace sink (installed by the sweep driver when tracing a sweep);
-    #: commits emit ``journal-commit`` events.
-    tracer = NULL_TRACER
-
     def __init__(self, path, segment_records=SEGMENT_RECORDS, fsync=True,
                  lock_timeout=10.0):
         self.path = path
@@ -697,15 +693,16 @@ class SweepJournal:
         """WAL the intent to run ``unit``."""
         self._append({"type": "begin", "unit": unit})
 
-    def commit(self, unit, result):
-        """WAL the unit's full result."""
+    def commit(self, unit, result, tracer=NULL_TRACER):
+        """WAL the unit's full result (a ``journal-commit`` event goes
+        to ``tracer``)."""
         self._append({"type": "commit", "unit": unit, "result": result})
         self.committed[unit] = {"type": "commit", "unit": unit,
                                 "result": result}
         self.stats.executed += 1
-        if self.tracer.enabled:
-            self.tracer.event("journal-commit", unit=unit,
-                              segment=self._segment_index)
+        if tracer.enabled:
+            tracer.event("journal-commit", unit=unit,
+                         segment=self._segment_index)
 
     def replay_result(self, unit):
         """The committed result payload for ``unit``, or ``None``."""

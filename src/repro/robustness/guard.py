@@ -39,6 +39,7 @@ from repro.common.errors import (
     TransientEngineError,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER
 from repro.robustness.checkpoint import DiscoveryCheckpoint
 from repro.robustness.durable import DeadlineEngine
 
@@ -106,26 +107,22 @@ class DiscoveryGuard(RobustAlgorithm):
         """The wrapped algorithm's bound (valid when nothing degrades)."""
         return self.algorithm.mso_guarantee()
 
-    def set_tracer(self, tracer):
-        """Install a trace sink on the guard *and* everything it drives:
-        the wrapped algorithm and (if already materialised) the
-        fallback, so every attempt's events land in one stream."""
-        super().set_tracer(tracer)
-        self.algorithm.set_tracer(tracer)
-        if self._fallback is not None:
-            self._fallback.set_tracer(tracer)
-        return self
-
     @property
     def fallback(self):
         if self._fallback is None:
             self._fallback = NativeOptimizer(self.space)
-            self._fallback.set_tracer(self.tracer)
         return self._fallback
 
     # ------------------------------------------------------------------
 
-    def run(self, qa_index, engine=None, checkpoint=None):
+    def run(self, qa_index, engine=None, checkpoint=None,
+            tracer=NULL_TRACER):
+        """Drive the wrapped algorithm to an answer at ``qa_index``.
+
+        Every attempt, and the fallback run if the guard degrades,
+        reports to ``tracer``, so one stream holds the retries and the
+        run that answered.
+        """
         qa_index = tuple(qa_index)
         checkpoint = checkpoint or DiscoveryCheckpoint()
         if checkpoint.qa_index is None:
@@ -144,11 +141,11 @@ class DiscoveryGuard(RobustAlgorithm):
         breaker = self.breaker
         while True:
             if breaker is not None and not breaker.allow():
-                if self.tracer.enabled:
-                    self.tracer.event("breaker", state="open",
-                                      failures=breaker.failures)
+                if tracer.enabled:
+                    tracer.event("breaker", state="open",
+                                 failures=breaker.failures)
                 return self._degrade(
-                    qa_index, engine, retries, wasted,
+                    tracer, qa_index, engine, retries, wasted,
                     ["circuit breaker open after %d consecutive engine "
                      "crashes" % breaker.failures],
                     reason="breaker-open")
@@ -162,7 +159,7 @@ class DiscoveryGuard(RobustAlgorithm):
             try:
                 result = self.algorithm.run(
                     qa_index, engine=attempt_engine,
-                    checkpoint=checkpoint)
+                    checkpoint=checkpoint, tracer=tracer)
             except DeadlineExceededError as exc:
                 # An expired budget is not damage to retry through: the
                 # partial attempt's spend is wasted, and the fallback
@@ -174,50 +171,51 @@ class DiscoveryGuard(RobustAlgorithm):
                 fired = exc.reason if not exc.layer \
                     else "%s-%s" % (exc.layer, exc.reason)
                 return self._degrade(
-                    qa_index, engine, retries, wasted,
+                    tracer, qa_index, engine, retries, wasted,
                     ["deadline exceeded (%s) after %.3gs / %.4g cost "
                      "units" % (fired, exc.elapsed, exc.spent)],
                     reason="deadline-%s" % fired)
             except TransientEngineError:
                 retries += 1
-                self._trace_retry("transient", retries, wasted)
+                self._trace_retry(tracer, "transient", retries, wasted)
                 if retries > self.policy.max_retries:
                     return self._degrade(
-                        qa_index, engine, retries, wasted,
+                        tracer, qa_index, engine, retries, wasted,
                         ["transient failures exhausted the retry budget"])
                 last_failed_contour, stepped = self._escalate(
-                    checkpoint, last_failed_contour)
+                    checkpoint, last_failed_contour, tracer)
                 escalations += stepped
                 continue
             except EngineCrashError as exc:
                 if breaker is not None:
                     was_open = breaker.is_open
                     breaker.record_failure()
-                    if self.tracer.enabled and breaker.is_open \
+                    if tracer.enabled and breaker.is_open \
                             and not was_open:
-                        self.tracer.event("breaker", state="tripped",
-                                          failures=breaker.failures)
+                        tracer.event("breaker", state="tripped",
+                                     failures=breaker.failures)
                 wasted += float(exc.spent or 0.0)
                 retries += 1
-                self._trace_retry("crash", retries, wasted)
+                self._trace_retry(tracer, "crash", retries, wasted)
                 if retries > self.policy.max_retries:
                     return self._degrade(
-                        qa_index, engine, retries, wasted,
+                        tracer, qa_index, engine, retries, wasted,
                         ["crashes exhausted the retry budget"])
                 last_failed_contour, stepped = self._escalate(
-                    checkpoint, last_failed_contour)
+                    checkpoint, last_failed_contour, tracer)
                 escalations += stepped
                 continue
             except DiscoveryError as exc:
                 # Inconsistent discovery state -- possibly poisoned by a
                 # corrupted monitor readout recorded in the checkpoint.
                 retries += 1
-                self._trace_retry("discovery-error", retries, wasted)
+                self._trace_retry(tracer, "discovery-error", retries,
+                                  wasted)
                 checkpoint.clear()
                 escalations = 0
                 if retries > self.policy.max_retries:
                     return self._degrade(
-                        qa_index, engine, retries, wasted,
+                        tracer, qa_index, engine, retries, wasted,
                         ["discovery aborted: %s" % exc])
                 continue
 
@@ -232,27 +230,29 @@ class DiscoveryGuard(RobustAlgorithm):
                 # the attempt (its spend is wasted) and start clean.
                 wasted += result.total_cost
                 retries += 1
-                self._trace_retry("validation", retries, wasted,
+                self._trace_retry(tracer, "validation", retries, wasted,
                                   violations=violations)
                 checkpoint.clear()
                 escalations = 0
                 if retries > self.policy.max_retries:
                     return self._degrade(
-                        qa_index, engine, retries, wasted, violations)
+                        tracer, qa_index, engine, retries, wasted,
+                        violations)
                 continue
-            return self._finalize(result, retries, wasted, drift)
+            return self._finalize(tracer, result, retries, wasted, drift)
 
     # ------------------------------------------------------------------
     # recovery helpers
 
-    def _trace_retry(self, cause, retries, wasted, violations=None):
-        if not self.tracer.enabled:
+    @staticmethod
+    def _trace_retry(tracer, cause, retries, wasted, violations=None):
+        if not tracer.enabled:
             return
         fields = {"cause": cause, "retries": retries,
                   "wasted_cost": float(wasted)}
         if violations:
             fields["violations"] = list(violations)
-        self.tracer.event("retry", **fields)
+        tracer.event("retry", **fields)
 
     def _guard_obs(self, result, retries, wasted):
         """Fold guard accounting into the run's metrics snapshot."""
@@ -264,7 +264,8 @@ class DiscoveryGuard(RobustAlgorithm):
             registry.counter("guard.degraded").inc()
         result.extras["obs"] = registry.snapshot()
 
-    def _escalate(self, checkpoint, last_failed_contour):
+    def _escalate(self, checkpoint, last_failed_contour,
+                  tracer=NULL_TRACER):
         """Advance the resume contour when a retry made no progress.
 
         Returns ``(contour_of_this_failure, stepped)`` where ``stepped``
@@ -282,12 +283,12 @@ class DiscoveryGuard(RobustAlgorithm):
             if current < top:
                 checkpoint.contour = current + 1
                 stepped = 1
-                if self.tracer.enabled:
-                    self.tracer.event("escalate", contour=current + 1)
+                if tracer.enabled:
+                    tracer.event("escalate", contour=current + 1)
         return checkpoint.contour, stepped
 
-    def _degrade(self, qa_index, engine, retries, wasted, violations,
-                 reason="retries-exhausted"):
+    def _degrade(self, tracer, qa_index, engine, retries, wasted,
+                 violations, reason="retries-exhausted"):
         """Fall back to the native-optimizer path instead of raising.
 
         ``reason`` classifies *why* the unit degraded
@@ -296,14 +297,14 @@ class DiscoveryGuard(RobustAlgorithm):
         tables, which previously could not distinguish a hung substrate
         from an exhausted retry ladder.
         """
-        if self.tracer.enabled:
-            self.tracer.event("degrade", reason=reason, retries=retries,
-                              wasted_cost=float(wasted),
-                              violations=list(violations))
+        if tracer.enabled:
+            tracer.event("degrade", reason=reason, retries=retries,
+                         wasted_cost=float(wasted),
+                         violations=list(violations))
         sound = engine
         if sound is not None and hasattr(sound, "sound"):
             sound = sound.sound()
-        result = self.fallback.run(qa_index, engine=sound)
+        result = self.fallback.run(qa_index, engine=sound, tracer=tracer)
         result.extras.update({
             "degraded": True,
             "degraded_reason": reason,
@@ -315,11 +316,11 @@ class DiscoveryGuard(RobustAlgorithm):
             "meter_drift": 0.0,
             "violations": list(violations),
         })
-        if self.tracer.enabled:
+        if tracer.enabled:
             self._guard_obs(result, retries, wasted)
         return result
 
-    def _finalize(self, result, retries, wasted, drift):
+    def _finalize(self, tracer, result, retries, wasted, drift):
         result.extras.update({
             "degraded": False,
             "degraded_reason": None,
@@ -330,7 +331,7 @@ class DiscoveryGuard(RobustAlgorithm):
             "meter_drift": drift,
             "violations": [],
         })
-        if self.tracer.enabled:
+        if tracer.enabled:
             self._guard_obs(result, retries, wasted)
         return result
 

@@ -68,40 +68,62 @@ from repro.serve.protocol import (
 from repro.session import EngineSpec, RobustSession
 from repro.session.cache import SpaceKey
 
+# The degradation ladder. A rung engages when the remaining deadline
+# budget falls below its floor, or when admission-queue occupancy
+# (in [0, 1]) rises above its pressure threshold.
+
+#: Remaining budget (ms) below which a request is shed outright.
+SHED_FLOOR_MS = 5.0
+
+#: Remaining budget (ms) below which a cold build or full run is
+#: answered by the native optimizer instead.
+NATIVE_FLOOR_MS = 50.0
+
+#: Remaining budget (ms) below which a cold build drops to
+#: :data:`DEGRADED_RESOLUTION`.
+COLD_FLOOR_MS = 400.0
+
+#: Grid resolution of the low-resolution rung.
+DEGRADED_RESOLUTION = 6
+
+#: Queue occupancy above which a cold build drops resolution.
+PRESSURE_LOWRES = 0.6
+
+#: Queue occupancy above which a cold request goes native.
+PRESSURE_NATIVE = 0.9
+
+#: Fresh attempts a coalesced follower may dispatch after the shared
+#: computation it joined failed.
+COALESCE_REDISPATCH = 1
+
+#: Cap (seconds) on the ``retry_after`` hint of refusals.
+RETRY_CAP_S = 5.0
+
 
 class ServeConfig:
     """Every serving knob in one place (all have sane defaults).
 
     ``path`` selects a unix socket; ``host``/``port`` a TCP endpoint
-    (exactly one of the two). The degradation ladder is controlled by
-    the ``*_floor_ms`` thresholds (remaining deadline budget below
-    which the next rung engages) and the ``pressure_*`` thresholds
-    (admission-queue occupancy in [0, 1] above which the rung engages
-    even with deadline to spare).
+    (exactly one of the two). The degradation ladder's thresholds are
+    module constants (``*_FLOOR_MS``, ``PRESSURE_*``).
     """
 
     __slots__ = (
         "path", "host", "port", "cache_dir", "resolution", "engine",
         "data_rng", "data_skew", "data_rows",
         "tenant_capacity", "tenant_rate", "max_inflight", "max_queue",
-        "retry_cap_s", "default_deadline_ms", "shed_floor_ms",
-        "native_floor_ms", "cold_floor_ms", "degraded_resolution",
-        "pressure_lowres", "pressure_native", "drain_grace_s",
-        "coalesce_redispatch", "max_line_bytes", "fault_plan",
-        "backend_failover", "clock",
+        "default_deadline_ms", "drain_grace_s", "max_line_bytes",
+        "fault_plan", "clock",
     )
 
     def __init__(self, path=None, host="127.0.0.1", port=7451,
                  cache_dir=None, resolution=None, engine="simulated",
                  data_rng=None, data_skew=None, data_rows=20000,
                  tenant_capacity=32.0, tenant_rate=16.0,
-                 max_inflight=None, max_queue=32, retry_cap_s=5.0,
-                 default_deadline_ms=30000.0, shed_floor_ms=5.0,
-                 native_floor_ms=50.0, cold_floor_ms=400.0,
-                 degraded_resolution=6, pressure_lowres=0.6,
-                 pressure_native=0.9, drain_grace_s=10.0,
-                 coalesce_redispatch=1, max_line_bytes=MAX_LINE_BYTES,
-                 fault_plan=None, backend_failover=True, clock=None):
+                 max_inflight=None, max_queue=32,
+                 default_deadline_ms=30000.0, drain_grace_s=10.0,
+                 max_line_bytes=MAX_LINE_BYTES, fault_plan=None,
+                 clock=None):
         self.path = path
         self.host = host
         self.port = port
@@ -120,23 +142,12 @@ class ServeConfig:
             max_inflight = min(4, os.cpu_count() or 1)
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self.retry_cap_s = retry_cap_s
         self.default_deadline_ms = default_deadline_ms
-        self.shed_floor_ms = shed_floor_ms
-        self.native_floor_ms = native_floor_ms
-        self.cold_floor_ms = cold_floor_ms
-        self.degraded_resolution = degraded_resolution
-        self.pressure_lowres = pressure_lowres
-        self.pressure_native = pressure_native
         self.drain_grace_s = drain_grace_s
-        self.coalesce_redispatch = coalesce_redispatch
         self.max_line_bytes = int(max_line_bytes)
         #: Optional :class:`~repro.serve.faults.ServeFaultPlan` applied
         #: in-process to the daemon's reply path (seeded wire chaos).
         self.fault_plan = fault_plan
-        #: Rerun on the ``native`` backend when a non-native backend is
-        #: unavailable (per-backend circuit breakers fast-fail repeats).
-        self.backend_failover = backend_failover
         self.clock = clock or time.monotonic
 
     def describe(self):
@@ -205,10 +216,8 @@ class RobustServeDaemon:
                                      clock=self.config.clock)
         self.admission = AdmissionController(
             self.budgets, max_inflight=self.config.max_inflight,
-            max_queue=self.config.max_queue,
-            retry_cap=self.config.retry_cap_s)
-        self.coalescer = Coalescer(
-            redispatch=self.config.coalesce_redispatch)
+            max_queue=self.config.max_queue, retry_cap=RETRY_CAP_S)
+        self.coalescer = Coalescer(redispatch=COALESCE_REDISPATCH)
         plan = self.config.fault_plan
         self._fault_injector = FaultInjector(plan) \
             if plan is not None and not plan.is_clean else None
@@ -423,7 +432,7 @@ class RobustServeDaemon:
             return error_response(
                 request.id, ERR_DRAINING,
                 "daemon is draining; retry against a peer",
-                retry_after_ms=self.config.retry_cap_s * 1e3)
+                retry_after_ms=RETRY_CAP_S * 1e3)
         return await self._service_compute(request, t0)
 
     # ------------------------------------------------------------------
@@ -439,13 +448,12 @@ class RobustServeDaemon:
         the already-ticking layered budget (queue wait has been
         charged against it by the time the ladder runs).
         """
-        cfg = self.config
         session = self.session
         remaining = deadline.remaining_wall() if deadline else None
         remaining_ms = remaining * 1e3 if remaining is not None else None
         query = session.query(request.query)
         reasons = []
-        if remaining_ms is not None and remaining_ms <= cfg.shed_floor_ms:
+        if remaining_ms is not None and remaining_ms <= SHED_FLOOR_MS:
             return None
         resolution = request.resolution
         if resolution is None:
@@ -467,21 +475,20 @@ class RobustServeDaemon:
                 # Cold build ahead: can this request afford it?
                 lowres = None
                 if remaining_ms is not None \
-                        and remaining_ms <= cfg.cold_floor_ms:
+                        and remaining_ms <= COLD_FLOOR_MS:
                     lowres = "lowres-deadline"
-                elif pressure >= cfg.pressure_lowres:
+                elif pressure >= PRESSURE_LOWRES:
                     lowres = "lowres-pressure"
-                if lowres and cfg.degraded_resolution \
-                        and resolution > cfg.degraded_resolution:
-                    resolution = cfg.degraded_resolution
+                if lowres and resolution > DEGRADED_RESOLUTION:
+                    resolution = DEGRADED_RESOLUTION
                     reasons.append(lowres)
                     tier = session.cache.probe(key_at(resolution))
                     served = "cached" if tier else "lowres"
             native = None
             if remaining_ms is not None \
-                    and remaining_ms <= cfg.native_floor_ms:
+                    and remaining_ms <= NATIVE_FLOOR_MS:
                 native = "native-deadline"
-            elif pressure >= cfg.pressure_native:
+            elif pressure >= PRESSURE_NATIVE:
                 native = "native-pressure"
             if native and tier is None:
                 # Still facing a cold build (or a full run) it cannot
@@ -690,8 +697,7 @@ class RobustServeDaemon:
         spec = plan.spec
         backend = self._requested_backend(spec)
         board = session.breakers
-        if not self.config.backend_failover or board is None \
-                or backend in (None, "native"):
+        if board is None or backend in (None, "native"):
             return self._run_plan(plan, space, contours, spec)
         breaker = board.breaker_for("backend:%s" % backend)
         if not breaker.allow():
@@ -721,7 +727,7 @@ class RobustServeDaemon:
         if spec != EngineSpec.parse("simulated"):
             engine = spec.build(space, qa_index=plan.qa,
                                 database=self.session.database)
-        result = algo.run(plan.qa, engine=engine)
+        result = algo.run(plan.qa, engine=engine, tracer=self.session.tracer)
         extras = result.extras
         failover = list(failover)
         return {

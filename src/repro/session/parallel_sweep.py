@@ -11,9 +11,11 @@ execution detail, invisible to grids, extras, obs counters and journals.
 Determinism contract (DESIGN.md §9)
 -----------------------------------
 * **Work is deterministic, scheduling is not.** Workers rehydrate their
-  engine/session state from the declarative
-  :class:`~repro.session.registry.EngineSpec` (closures cannot cross
-  process boundaries) and compute per-location outcomes; *all* folding
+  session from the declarative config, wire each unit through a
+  worker-side :class:`~repro.session.sweep.SweepDriver` (the serial
+  wiring, engines built from the
+  :class:`~repro.session.registry.EngineSpec`) and compute
+  per-location outcomes; *all* folding
   happens in the parent, in grid-location order, through the same
   :class:`~repro.metrics.mso.SweepAccumulator` the serial sweep uses.
   Counter merges add floats and float addition is not associative, so
@@ -55,12 +57,12 @@ from repro.catalog.datagen import DatabaseSpec
 from repro.common.errors import DiscoveryError
 from repro.metrics.mso import SweepAccumulator, SweepResult, \
     sample_locations
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.robustness.durable import CircuitBreaker, Deadline, \
     SweepJournal
 from repro.session.registry import BreakerBoard
-from repro.session.sweep import SweepRecord, _sweep_from_payload, \
-    _sweep_payload, spec_engine_factory
+from repro.session.sweep import SweepDriver, SweepRecord, \
+    _sweep_from_payload, _sweep_payload
 
 #: Outstanding chunk tasks per worker; bounds how far dispatch runs
 #: ahead of the deadline watchdog (and journal commit order).
@@ -78,13 +80,7 @@ def _validate(driver, algorithms):
     Everything refused here works serially; the errors say what to pass
     instead so ``--workers`` is never a silent behaviour change.
     """
-    if driver.engine_factory is not None and driver.engine_spec is None:
-        raise DiscoveryError(
-            "parallel sweeps need a declarative engine spec: an "
-            "engine_factory closure cannot be shipped to workers "
-            "(pass engine_spec= instead)")
-    if driver.engine_spec is not None \
-            and driver.engine_spec.base != "simulated" \
+    if driver.engine_spec.base != "simulated" \
             and not isinstance(driver.session.database, DatabaseSpec):
         raise DiscoveryError(
             "parallel sweeps support row-backed engine specs only with "
@@ -168,9 +164,7 @@ def _init_worker(config):
             database=sess.get("database"), breaker=board),
         "breaker": None if config["driver"]["breaker"] is None
         else CircuitBreaker(*config["driver"]["breaker"]),
-        "artifacts": dict(_FORK_ARTIFACTS),
-        "algorithms": {},
-        "factories": {},
+        "wired": {},
     })
 
 
@@ -192,52 +186,35 @@ def _expired_deadline(reason):
 
 
 def _worker_unit(unit_index, expired):
-    """The (algorithm instance, engine factory, space) for one unit.
+    """The (algorithm instance, engine factory) for one unit.
 
-    Instances are cached per (unit, expiry) -- expired tasks need a
-    guard wired to an expired deadline, so they get their own instance
-    -- and mirror :meth:`SweepDriver.algorithm`'s wiring exactly, which
-    is what makes worker-side run results (and the guard-implied
-    ``guarded-`` name) identical to serial ones.
+    Both come from a worker-side :class:`SweepDriver` built from the
+    parent driver's config, so a worker wires a unit exactly as the
+    serial driver does. Cached per (unit, expiry): expired tasks need a
+    guard wired to an expired deadline.
     """
-    config = _WORKER["config"]
-    driver = config["driver"]
-    unit = config["units"][unit_index]
-    session = _WORKER["session"]
-    pair = _WORKER["artifacts"].get(unit["query"].name)
-    if pair is None:
-        pair = session.space_and_contours(
-            unit["query"], ratio=driver["ratio"],
-            resolution=driver["resolution"])
-        _WORKER["artifacts"][unit["query"].name] = pair
-    space, contours = pair
-
-    factory = _WORKER["factories"].get(unit_index)
-    if factory is None and driver["engine_spec"] is not None:
-        from repro.session.registry import EngineSpec
-
-        factory = spec_engine_factory(
-            EngineSpec.parse(driver["engine_spec"]), space,
-            session.database, driver["fault_seed"], unit["unit"])
-        _WORKER["factories"][unit_index] = factory
-
     key = (unit_index, expired)
-    instance = _WORKER["algorithms"].get(key)
-    if instance is None:
-        algorithm = unit["algorithm"]
-        kwargs = {}
-        if driver["lam"] is not None and algorithm in ("planbouquet",
-                                                       "randomized"):
-            kwargs["lam"] = driver["lam"]
-        if driver["deadline"] or _WORKER["breaker"] is not None:
-            kwargs["deadline"] = _expired_deadline(expired) \
-                if expired else (Deadline() if driver["deadline"]
-                                 else None)
-            kwargs["breaker"] = _WORKER["breaker"]
-        instance = session.algorithm(algorithm, space=space,
-                                     contours=contours, **kwargs)
-        _WORKER["algorithms"][key] = instance
-    return instance, factory, space
+    wired = _WORKER["wired"].get(key)
+    if wired is None:
+        config = _WORKER["config"]["driver"]
+        deadline = None
+        if expired:
+            deadline = _expired_deadline(expired)
+        elif config["deadline"]:
+            deadline = Deadline()
+        driver = SweepDriver(
+            _WORKER["session"], resolution=config["resolution"],
+            lam=config["lam"], ratio=config["ratio"],
+            engine_spec=config["engine_spec"],
+            fault_seed=config["fault_seed"], deadline=deadline,
+            breaker=_WORKER["breaker"])
+        driver._artifact_memo.update(_FORK_ARTIFACTS)
+        unit = _WORKER["config"]["units"][unit_index]
+        instance = driver.algorithm(unit["algorithm"], unit["query"])
+        wired = (instance, driver._unit_engine_factory(instance.space,
+                                                       unit["unit"]))
+        _WORKER["wired"][key] = wired
+    return wired
 
 
 def _run_chunk(task):
@@ -251,24 +228,23 @@ def _run_chunk(task):
     config = _WORKER["config"]
     driver = config["driver"]
     unit_index = task["unit"]
-    expired = task.get("expired")
-    instance, factory, space = _worker_unit(unit_index, expired)
+    instance, factory = _worker_unit(unit_index, task.get("expired"))
 
-    tracer = None
+    tracer = NULL_TRACER
     if driver["trace_dir"] is not None:
         unit = config["units"][unit_index]
         os.makedirs(driver["trace_dir"], exist_ok=True)
         tracer = Tracer(os.path.join(
             driver["trace_dir"], "%s-%s.chunk-%05d.jsonl"
             % (unit["query"].name, unit["label"], task["chunk"])))
-        instance.set_tracer(tracer)
 
-    grid = space.grid
+    grid = instance.space.grid
     records = []
     try:
         for pos, flat in task["locs"]:
             engine = factory(grid.unflat(int(flat))) if factory else None
-            result = instance.run(grid.unflat(int(flat)), engine=engine)
+            result = instance.run(grid.unflat(int(flat)), engine=engine,
+                                  tracer=tracer)
             extras = result.extras
             charge = float(result.total_cost) \
                 + float(extras.get("wasted_cost") or 0.0)
@@ -277,9 +253,7 @@ def _run_chunk(task):
                             extras.get("degraded_reason"),
                             extras.get("obs"), charge))
     finally:
-        if tracer is not None:
-            instance.set_tracer(None)
-            tracer.close()
+        tracer.close()
 
     breakers = {}
     if _WORKER["breaker"] is not None:
@@ -336,8 +310,7 @@ def _worker_config(driver, pending):
         "driver": {
             "resolution": driver.resolution, "lam": driver.lam,
             "ratio": driver.ratio,
-            "engine_spec": None if driver.engine_spec is None
-            else driver.engine_spec.describe(),
+            "engine_spec": driver.engine_spec.describe(),
             "fault_seed": driver.fault_seed,
             "trace_dir": driver.trace_dir,
             "deadline": driver.deadline is not None,

@@ -142,20 +142,16 @@ def _latency(engine, space, qa_index, **kwargs):
 
 
 @register_layer("faulty")
-def _faulty(engine, space, qa_index, plan=None, **kwargs):
-    if plan is None:
-        # The layer speaks the plan's own knob vocabulary, plus seed.
-        knobs = set(FaultPlan.knobs()) | {"seed"}
-        unknown = set(kwargs) - knobs
-        if unknown:
-            raise DiscoveryError(
-                "unknown faulty-layer arguments %s (expected %s)"
-                % (sorted(unknown), ", ".join(sorted(knobs))))
-        seed = int(kwargs.pop("seed", 0))
-        plan = FaultPlan.from_knobs(kwargs, seed=seed)
-    elif kwargs:
+def _faulty(engine, space, qa_index, **kwargs):
+    # The layer speaks the plan's own knob vocabulary, plus seed.
+    knobs = set(FaultPlan.knobs()) | {"seed"}
+    unknown = set(kwargs) - knobs
+    if unknown:
         raise DiscoveryError(
-            "faulty layer takes either plan= or knob arguments, not both")
+            "unknown faulty-layer arguments %s (expected %s)"
+            % (sorted(unknown), ", ".join(sorted(knobs))))
+    seed = int(kwargs.pop("seed", 0))
+    plan = FaultPlan.from_knobs(kwargs, seed=seed)
     # A plain SimulatedEngine base is the FaultyEngine's own default
     # semantics; passing it as base= would be equivalent but slower.
     base = None if type(engine) is SimulatedEngine else engine
@@ -227,10 +223,9 @@ class EngineSpec:
     def build(self, space, qa_index=None, database=None, **overrides):
         """Construct the engine over ``space`` hiding ``qa_index``.
 
-        ``overrides`` are forwarded to the *last* faulty layer (e.g.
-        ``plan=`` to substitute a pre-built :class:`FaultPlan`), the
-        hook sweeps use to vary fault seeds per location without
-        re-parsing the spec.
+        ``overrides`` are knob arguments merged into the *last* faulty
+        layer's (e.g. ``seed=``), the hook sweeps use to vary fault
+        seeds per unit or location without re-parsing the spec.
         """
         engine = BASE_ENGINES[self.base](
             space, qa_index, database, **self.base_args)

@@ -222,7 +222,7 @@ class RobustSession:
 
     def algorithm(self, algorithm="spillbound", query=None, space=None,
                   contours=None, guard=None, ratio=None, resolution=None,
-                  deadline=None, breaker=None, tracer=None, **kwargs):
+                  deadline=None, breaker=None, **kwargs):
         """An algorithm instance wired to cached artifacts.
 
         ``algorithm`` is a registry name, a class with the
@@ -270,9 +270,6 @@ class RobustSession:
         if policy:
             instance = DiscoveryGuard(instance, policy=policy,
                                       deadline=deadline, breaker=breaker)
-        active = self.tracer if tracer is None else tracer
-        if active is not None and active.enabled:
-            instance.set_tracer(active)
         return instance
 
     # ------------------------------------------------------------------
@@ -290,8 +287,7 @@ class RobustSession:
         sink for this run.
         """
         query = self.query(query)
-        algo = self.algorithm(algorithm, query=query, guard=guard,
-                              tracer=tracer, **kwargs)
+        algo = self.algorithm(algorithm, query=query, guard=guard, **kwargs)
         space = algo.space
         if qa_index is None:
             qa_index = tuple(int(r * 0.7) for r in space.grid.shape)
@@ -302,27 +298,24 @@ class RobustSession:
                 and self.engine_spec == EngineSpec.parse("simulated")
             if not wants_default:
                 engine = self.engine(space, qa_index=qa_index, spec=spec)
-        return algo.run(qa_index, engine=engine, checkpoint=checkpoint)
+        return algo.run(qa_index, engine=engine, checkpoint=checkpoint,
+                        tracer=self.tracer if tracer is None else tracer)
 
     def sweep(self, query, algorithm="spillbound", sample=None, rng=0,
-              spec=None, progress=None, tracer=None, **kwargs):
-        """Exhaustive (or sampled) empirical MSO/ASO for one algorithm."""
-        from repro.metrics.mso import exhaustive_sweep
+              spec=None, progress=None, **kwargs):
+        """Exhaustive (or sampled) empirical MSO/ASO for one algorithm.
 
-        algo = self.algorithm(algorithm, query=query, tracer=tracer,
-                              **kwargs)
-        engine_factory = None
-        if spec is not None or \
-                self.engine_spec != EngineSpec.parse("simulated"):
-            resolved = self.engine_spec if spec is None \
-                else EngineSpec.parse(spec)
+        One :class:`~repro.session.sweep.SweepDriver` unit over the
+        instance :meth:`algorithm` builds (guarded at most once), on
+        ``spec`` or else the session's engine spec.
+        """
+        from repro.session.sweep import SweepDriver
 
-            def engine_factory(qa):
-                return resolved.build(algo.space, qa_index=qa,
-                                      database=self.database)
-        return exhaustive_sweep(algo, sample=sample, rng=rng,
-                                progress=progress,
-                                engine_factory=engine_factory)
+        instance = self.algorithm(algorithm, query=query, **kwargs)
+        driver = SweepDriver(self, sample=sample, rng=rng,
+                             progress=progress, engine_spec=spec)
+        (record,) = driver.run([query], [instance])
+        return record.sweep
 
     # ------------------------------------------------------------------
 

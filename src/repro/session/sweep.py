@@ -32,10 +32,9 @@ import zlib
 
 import numpy as np
 
-from repro.common.errors import DiscoveryError
 from repro.metrics.mso import SweepResult, exhaustive_sweep
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.robustness.durable import SweepJournal
 from repro.session.registry import EngineSpec
 
@@ -51,29 +50,6 @@ def unit_fault_seed(base_seed, unit):
     ``PYTHONHASHSEED``.
     """
     return (int(base_seed) + zlib.crc32(unit.encode("utf-8"))) % (2 ** 31)
-
-
-def spec_engine_factory(spec, space, database, fault_seed, unit):
-    """Per-location engine factory for one sweep unit of ``spec``.
-
-    The declarative twin of the ad-hoc closures call sites used to
-    build: with ``fault_seed`` set and a faulty layer present, the
-    unit's split seed (:func:`unit_fault_seed`) overrides the layer's
-    own, so every unit sees an independent—but reproducible—fault
-    stream. Both the serial and the parallel execution paths construct
-    engines through this one function, which is half of the determinism
-    contract (the other half is the merge order; see DESIGN.md §9).
-    """
-    overrides = {}
-    if fault_seed is not None and any(
-            name == "faulty" for name, _kwargs in spec.layers):
-        overrides["seed"] = unit_fault_seed(fault_seed, unit)
-
-    def factory(qa):
-        return spec.build(space, qa_index=qa, database=database,
-                          **overrides)
-
-    return factory
 
 
 def session_reuse_summary(session):
@@ -172,34 +148,33 @@ class SweepDriver:
     Parameters mirror the historical per-driver arguments:
     ``sample``/``rng`` cap and seed the location sampling, ``resolution``
     overrides the session's grid default, ``lam`` is forwarded to
-    PlanBouquet-family factories, ``engine_factory`` substitutes the
-    execution environment per hidden truth (overriding the session's
-    engine spec). ``journal``, ``deadline`` and ``breaker`` add the
-    durability layer (see the module docstring); with all three at
-    their defaults the driver is byte-identical to its pre-durability
-    behaviour.
+    PlanBouquet-family factories, ``engine_spec`` names the execution
+    environment of every run (default: the session's). ``journal``,
+    ``deadline`` and ``breaker`` add the durability layer (see the
+    module docstring); with all three at their defaults the driver is
+    byte-identical to its pre-durability behaviour.
+
+    Every unit -- serial, in a worker process, or one
+    :meth:`RobustSession.sweep <repro.session.RobustSession.sweep>` --
+    is wired here: :meth:`algorithm` builds its instance and
+    ``_unit_engine_factory`` its engines.
     """
 
     def __init__(self, session, sample=None, rng=0, resolution=None,
-                 lam=None, ratio=None, engine_factory=None, progress=None,
-                 journal=None, resume=None, deadline=None, breaker=None,
-                 engine_label=None, trace_dir=None, engine_spec=None,
-                 fault_seed=None, workers=None, chunk_size=None):
-        if engine_factory is not None and engine_spec is not None:
-            raise DiscoveryError(
-                "pass engine_factory= or engine_spec=, not both")
+                 lam=None, ratio=None, progress=None, journal=None,
+                 resume=None, deadline=None, breaker=None, trace_dir=None,
+                 engine_spec=None, fault_seed=None, workers=None,
+                 chunk_size=None):
         self.session = session
         self.sample = sample
         self.rng = rng
         self.resolution = resolution
         self.lam = lam
         self.ratio = ratio
-        self.engine_factory = engine_factory
         #: Declarative execution environment for every run (an
-        #: :class:`~repro.session.registry.EngineSpec` or spec string).
-        #: Unlike ``engine_factory`` this form can cross process
-        #: boundaries, so it is required for ``workers > 1``.
-        self.engine_spec = None if engine_spec is None \
+        #: :class:`~repro.session.registry.EngineSpec`); plain
+        #: ``simulated`` runs on each algorithm's own engine.
+        self.engine_spec = session.engine_spec if engine_spec is None \
             else EngineSpec.parse(engine_spec)
         #: Sweep-level fault seed, split per unit via
         #: :func:`unit_fault_seed` when the spec has a faulty layer.
@@ -212,10 +187,6 @@ class SweepDriver:
         #: automatically from the grid and worker count).
         self.chunk_size = chunk_size
         self.progress = progress
-        #: Canonical name of the engine_factory's environment, folded
-        #: into the journal fingerprint (a resume on a different
-        #: substrate must be refused, not replayed).
-        self.engine_label = engine_label
         self.journal = journal
         self.resume = resume
         self.deadline = deadline
@@ -270,7 +241,14 @@ class SweepDriver:
         return session_reuse_summary(self.session)
 
     def algorithm(self, algorithm, query):
-        """Instantiate ``algorithm`` over the cached artifacts."""
+        """Instantiate ``algorithm`` over the cached artifacts.
+
+        A prebuilt instance runs as given: the session guard, deadline
+        and breaker apply to the instances the driver builds from
+        names or classes, so an instance is never guarded twice.
+        """
+        if not isinstance(algorithm, (str, type)):
+            return algorithm
         space, contours = self.artifacts(query)
         kwargs = {}
         if self.lam is not None and algorithm in ("planbouquet",
@@ -292,14 +270,6 @@ class SweepDriver:
     # ------------------------------------------------------------------
     # journal plumbing
 
-    def _engine_name(self):
-        """Canonical name of the sweep's execution environment."""
-        if self.engine_label is not None:
-            return self.engine_label
-        if self.engine_spec is not None:
-            return self.engine_spec.describe()
-        return self.session.engine_spec.describe()
-
     def _config(self, queries, algorithms):
         """Sweep fingerprint stored in (and checked against) the WAL.
 
@@ -317,7 +287,7 @@ class SweepDriver:
             "resolution": self.resolution,
             "lam": self.lam,
             "ratio": self.ratio,
-            "engine": self._engine_name(),
+            "engine": self.engine_spec.describe(),
         }
         if self.fault_seed is not None:
             config["fault_seed"] = self.fault_seed
@@ -365,19 +335,32 @@ class SweepDriver:
         return os.path.join(self.trace_dir,
                             "%s-%s.jsonl" % (query_name, label))
 
-    def _unit_engine_factory(self, query, unit):
-        """The per-location engine factory for one unit (or ``None``).
+    def _unit_engine_factory(self, space, unit):
+        """The per-location engine factory of one unit over ``space``.
 
-        With a declarative ``engine_spec`` the factory is derived from
-        the spec (splitting the fault seed per unit); an explicit
-        ``engine_factory`` is returned as-is for every unit.
+        ``None`` for plain ``simulated``: each algorithm builds its own
+        engine, as :meth:`RobustSession.run` does. Otherwise engines are
+        built from the spec; with ``fault_seed`` set and a faulty layer
+        present, the unit's split seed (:func:`unit_fault_seed`)
+        overrides the layer's own, so every unit sees an independent --
+        but reproducible -- fault stream. Serial and worker-side drivers
+        both build engines here, which is half of the determinism
+        contract (the other half is the merge order; DESIGN.md §9).
         """
-        if self.engine_spec is None:
-            return self.engine_factory
-        space, _contours = self.artifacts(query)
-        return spec_engine_factory(self.engine_spec, space,
-                                   self.session.database,
-                                   self.fault_seed, unit)
+        spec = self.engine_spec
+        if spec == EngineSpec.parse("simulated"):
+            return None
+        overrides = {}
+        if self.fault_seed is not None and any(
+                name == "faulty" for name, _kwargs in spec.layers):
+            overrides["seed"] = unit_fault_seed(self.fault_seed, unit)
+        database = self.session.database
+
+        def factory(qa):
+            return spec.build(space, qa_index=qa, database=database,
+                              **overrides)
+
+        return factory
 
     def _unit(self, journal, query, algorithm):
         """Run (or replay) one ``(query, algorithm)`` unit."""
@@ -393,25 +376,21 @@ class SweepDriver:
                                    sweep, replayed=True)
             journal.begin(unit)
         instance = self.algorithm(algorithm, query)
-        tracer = None
+        tracer = self.session.tracer
         if self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
             tracer = Tracer(self._trace_path(query.name, label))
-            instance.set_tracer(tracer)
-            if journal is not None:
-                journal.tracer = tracer
         try:
             sweep = exhaustive_sweep(
                 instance, sample=self.sample, rng=self.rng,
                 progress=self.progress,
-                engine_factory=self._unit_engine_factory(query, unit))
+                engine_factory=self._unit_engine_factory(instance.space,
+                                                        unit),
+                tracer=tracer)
             if journal is not None:
-                journal.commit(unit, _sweep_payload(sweep))
+                journal.commit(unit, _sweep_payload(sweep), tracer=tracer)
         finally:
-            if tracer is not None:
-                instance.set_tracer(None)
-                if journal is not None:
-                    journal.tracer = NULL_TRACER
+            if self.trace_dir is not None:
                 tracer.close()
         self._merge_obs(sweep)
         label = label if isinstance(algorithm, str) else instance.name

@@ -24,6 +24,18 @@ class TestParser:
             assert name in EXPERIMENTS
 
 
+@pytest.fixture()
+def fresh_default_session():
+    """A fresh process-wide session for the test, restored after."""
+    from repro.session import RobustSession, set_default_session
+
+    previous = set_default_session(RobustSession())
+    try:
+        yield default_session()
+    finally:
+        set_default_session(previous)
+
+
 class TestCommands:
     def test_list(self, capsys):
         code, out = run_cli(["list"], capsys)
@@ -72,6 +84,31 @@ class TestCommands:
         assert code == 0
         assert "degraded" in out
         assert default_session().guard_policy is policy
+
+    def test_sweep_row_store_stays_on_the_command(
+            self, capsys, fresh_default_session):
+        # The sweep runs on the generated rows, but the process-wide
+        # session does not keep them.
+        code, out = run_cli(
+            ["sweep", "2D_Q91", "--resolution", "4", "--sample", "2",
+             "--algorithms", "spillbound", "--engine", "row()",
+             "--data-rng", "0", "--data-rows", "400"], capsys)
+        assert code == 0
+        assert "spillbound" in out
+        assert fresh_default_session.database is None
+
+    def test_sweep_title_counts_truths_swept(
+            self, capsys, fresh_default_session):
+        import re
+
+        code, out = run_cli(
+            ["sweep", "2D_Q91", "--resolution", "6", "--sample", "10"],
+            capsys)
+        assert code == 0
+        assert "Empirical robustness for 2D_Q91 (10 truths)" in out
+        # The table title made no artifact lookup of its own.
+        hits = re.search(r"space_memory_hits\s+(\d+)", out).group(1)
+        assert hits == "0"
 
     def test_run_trace_then_show(self, capsys, tmp_path):
         """Acceptance: ``run --algo ... --trace`` then ``trace show``

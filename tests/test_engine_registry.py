@@ -160,11 +160,14 @@ class TestExecutionIdentical:
             run_trace(toy_space, toy_contours, hand)
 
     def test_faulty_plan_override(self, toy_space, toy_contours):
+        """Build-time knob overrides reach the last faulty layer and
+        build the plan those knobs name."""
         plan = FaultPlan(drift_rate=0.4, drift_factor=1.5, seed=11)
-        built = EngineSpec.parse("simulated+faulty()").build(
-            toy_space, qa_index=self.QA, plan=plan)
+        built = EngineSpec.parse("simulated+faulty(drift=0.1)").build(
+            toy_space, qa_index=self.QA, drift=0.4, drift_factor=1.5,
+            seed=11)
         hand = FaultyEngine(toy_space, self.QA, plan=plan)
-        assert built.plan is plan
+        assert built.plan.to_dict() == plan.to_dict()
         assert run_trace(toy_space, toy_contours, built) == \
             run_trace(toy_space, toy_contours, hand)
 

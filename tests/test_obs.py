@@ -7,6 +7,10 @@ and whose per-contour spend decomposition sums *exactly* (``==``, not
 approx) to the run's ``total_cost``.
 """
 
+import inspect
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -42,14 +46,17 @@ class TestNullTracer:
             pass
 
     def test_is_the_default_on_algorithms(self):
-        assert RobustAlgorithm.tracer is NULL_TRACER
+        for run in (RobustAlgorithm.run, SpillBound.run, PlanBouquet.run,
+                    DiscoveryGuard.run):
+            default = inspect.signature(run).parameters["tracer"].default
+            assert default is NULL_TRACER
 
-    def test_set_tracer_none_restores_null(self, toy_space, toy_contours):
+    def test_instances_carry_no_tracer(self, toy_space, toy_contours):
         algo = SpillBound(toy_space, toy_contours)
-        algo.set_tracer(Tracer())
-        assert algo.tracer.enabled
-        algo.set_tracer(None)
-        assert algo.tracer is NULL_TRACER
+        guard = DiscoveryGuard(algo)
+        guard.run((8, 8), tracer=Tracer())
+        for holder in (algo, guard, guard.fallback):
+            assert not hasattr(holder, "tracer")
 
 
 class TestTracer:
@@ -184,8 +191,8 @@ class TestMetricsRegistry:
 class TestTracedRun:
     def test_events_and_obs_snapshot(self, toy_space, toy_contours):
         tracer = Tracer()
-        algo = SpillBound(toy_space, toy_contours).set_tracer(tracer)
-        result = algo.run((8, 8))
+        algo = SpillBound(toy_space, toy_contours)
+        result = algo.run((8, 8), tracer=tracer)
         types = {r["type"] for r in tracer.records}
         assert {"run-start", "run-end", "execution"} <= types
         execs = [r for r in tracer.records if r["type"] == "execution"]
@@ -195,8 +202,8 @@ class TestTracedRun:
 
     def test_tracing_changes_no_results(self, toy_space, toy_contours):
         plain = SpillBound(toy_space, toy_contours).run((8, 8))
-        traced = SpillBound(toy_space, toy_contours) \
-            .set_tracer(Tracer()).run((8, 8))
+        traced = SpillBound(toy_space, toy_contours).run(
+            (8, 8), tracer=Tracer())
         assert traced.total_cost == plain.total_cost
         assert traced.sub_optimality == plain.sub_optimality
         assert len(traced.executions) == len(plain.executions)
@@ -205,8 +212,8 @@ class TestTracedRun:
     def test_decomposition_matches_total_exactly(
             self, toy_space, toy_contours):
         tracer = Tracer()
-        algo = PlanBouquet(toy_space, toy_contours).set_tracer(tracer)
-        result = algo.run((12, 3))
+        algo = PlanBouquet(toy_space, toy_contours)
+        result = algo.run((12, 3), tracer=tracer)
         parts = decompose(tracer.records)
         assert parts["total"] == result.total_cost
         assert parts["total_cost"] == result.total_cost
@@ -214,15 +221,89 @@ class TestTracedRun:
             len(result.executions)
 
 
+def _answer(result):
+    """A run's answer, without the metrics snapshot only traced runs
+    attach."""
+    extras = {k: v for k, v in result.extras.items() if k != "obs"}
+    return (result.total_cost, result.optimal_cost,
+            [r.as_event() for r in result.executions], extras)
+
+
+class TestStatelessInstances:
+    """One instance serves traced and untraced runs, back to back and
+    from two threads: the tracer holds only the traced runs' events and
+    every answer equals a fresh instance's. Sharing warm instances
+    across served requests relies on this."""
+
+    @pytest.fixture(params=[SpillBound, PlanBouquet])
+    def cls(self, request):
+        return request.param
+
+    @staticmethod
+    def _truths(space):
+        return [space.grid.unflat(flat)
+                for flat in range(0, space.grid.size, 5)]
+
+    @staticmethod
+    def _check(cls, space, contours, tracer, runs):
+        traced = sorted(qa for qa, is_traced, _ in runs if is_traced)
+        starts = [tuple(r["qa_index"]) for r in tracer.records
+                  if r["type"] == "run-start"]
+        assert len(starts) == len(traced)
+        assert sorted(starts) == traced
+        assert sum(r["type"] == "run-end" for r in tracer.records) \
+            == len(traced)
+        for qa, _is_traced, result in runs:
+            assert _answer(result) == _answer(cls(space, contours).run(qa))
+
+    def test_back_to_back(self, cls, toy_space, toy_contours):
+        shared = cls(toy_space, toy_contours)
+        tracer = Tracer()
+        runs = []
+        for qa in self._truths(toy_space):
+            runs.append((qa, True, shared.run(qa, tracer=tracer)))
+            runs.append((qa, False, shared.run(qa)))
+        self._check(cls, toy_space, toy_contours, tracer, runs)
+
+    def test_two_threads(self, cls, toy_space, toy_contours):
+        shared = cls(toy_space, toy_contours)
+        tracer = Tracer()
+        truths = self._truths(toy_space)
+        runs = {True: [], False: []}
+        barrier = threading.Barrier(2)
+
+        def work(is_traced):
+            barrier.wait(10)
+            sink = tracer if is_traced else NULL_TRACER
+            for qa in truths:
+                runs[is_traced].append(
+                    (qa, is_traced, shared.run(qa, tracer=sink)))
+
+        threads = [threading.Thread(target=work, args=(flag,))
+                   for flag in (True, False)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads' runs
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(runs[True]) == len(runs[False]) == len(truths)
+        self._check(cls, toy_space, toy_contours, tracer,
+                    runs[True] + runs[False])
+
+
 class TestGuardTracing:
     def test_retry_and_degrade_events(self, toy_space, toy_contours):
         tracer = Tracer()
         guard = DiscoveryGuard(SpillBound(toy_space, toy_contours),
                                policy=RetryPolicy(max_retries=1))
-        guard.set_tracer(tracer)
         engine = FaultyEngine(toy_space, (8, 8),
                               plan=FaultPlan(transient_rate=1.0))
-        result = guard.run((8, 8), engine=engine)
+        result = guard.run((8, 8), engine=engine, tracer=tracer)
         assert result.extras["degraded"] is True
         types = [r["type"] for r in tracer.records]
         assert types.count("retry") == 2
@@ -236,11 +317,10 @@ class TestGuardTracing:
         tracer = Tracer()
         guard = DiscoveryGuard(SpillBound(toy_space, toy_contours),
                                policy=RetryPolicy(max_retries=0))
-        guard.set_tracer(tracer)
         engine = FaultyEngine(
             toy_space, (8, 8),
             plan=FaultPlan(crash_rate=1.0, transient_rate=0.0, seed=4))
-        result = guard.run((8, 8), engine=engine)
+        result = guard.run((8, 8), engine=engine, tracer=tracer)
         parts = decompose(tracer.records)
         # The discovery attempt crashed; only the fallback completed.
         assert answering_run(tracer.records) > 1
@@ -266,11 +346,10 @@ class TestCacheAndJournalEvents:
     def test_journal_commit_event(self, tmp_path):
         tracer = Tracer()
         journal = SweepJournal(str(tmp_path / "journal"), fsync=False)
-        journal.tracer = tracer
         journal.open(config={"id": 1})
         unit = SweepJournal.unit_key("q", "spillbound")
         journal.begin(unit)
-        journal.commit(unit, {"x": 1})
+        journal.commit(unit, {"x": 1}, tracer=tracer)
         journal.close()
         commits = [r for r in tracer.records
                    if r["type"] == "journal-commit"]
@@ -286,14 +365,13 @@ class TestFaultyRoundTrip:
         path = str(tmp_path / "trace.jsonl")
         tracer = Tracer(path)
         guard = DiscoveryGuard(SpillBound(toy_space, toy_contours))
-        guard.set_tracer(tracer)
         plan = FaultPlan(crash_rate=0.2, transient_rate=0.1,
                          corruption_rate=0.1, drift_rate=0.1, seed=5)
         results = []
         for flat in range(0, toy_space.grid.size, 29):
             qa = toy_space.grid.unflat(flat)
             engine = FaultyEngine(toy_space, qa, plan=plan)
-            results.append(guard.run(qa, engine=engine))
+            results.append(guard.run(qa, engine=engine, tracer=tracer))
         tracer.close()
 
         replayed = read_trace(path)
@@ -309,11 +387,11 @@ class TestFaultyRoundTrip:
 
     def test_every_run_decomposes_exactly(self, toy_space, toy_contours):
         tracer = Tracer()
-        algo = SpillBound(toy_space, toy_contours).set_tracer(tracer)
+        algo = SpillBound(toy_space, toy_contours)
         totals = {}
         for qa in [(0, 0), (8, 8), (15, 15)]:
             run = tracer.runs + 1
-            totals[run] = algo.run(qa).total_cost
+            totals[run] = algo.run(qa, tracer=tracer).total_cost
         for run, total in totals.items():
             assert decompose(tracer.records, run=run)["total"] == total
 
@@ -332,8 +410,8 @@ class TestSweepDriverTracing:
         obs = driver.obs_summary()
         assert obs["counters"]["executions"] == \
             records[0].sweep.extras["obs"]["counters"]["executions"]
-        # Tracing detaches after the unit: the instance is clean.
-        assert records[0].instance.tracer is NULL_TRACER
+        # The trace sink was a run argument: the instance holds none.
+        assert not hasattr(records[0].instance, "tracer")
 
     def test_payload_round_trips_sample_geometry(self):
         sweep = _sweep_from_payload(_sweep_payload(
@@ -360,7 +438,7 @@ class TestSweepDriverTracing:
 class TestTraceReport:
     def test_render_contains_sections(self, toy_space, toy_contours):
         tracer = Tracer()
-        SpillBound(toy_space, toy_contours).set_tracer(tracer).run((8, 8))
+        SpillBound(toy_space, toy_contours).run((8, 8), tracer=tracer)
         text = render_trace_report(tracer.records)
         assert "Execution timeline" in text
         assert "Budget waterfall" in text
@@ -379,8 +457,9 @@ class TestEngineTagging:
         from repro.engine.simulated import SimulatedEngine
 
         tracer = Tracer()
-        algo = SpillBound(toy_space, toy_contours).set_tracer(tracer)
-        algo.run((8, 8), engine=SimulatedEngine(toy_space, (8, 8)))
+        algo = SpillBound(toy_space, toy_contours)
+        algo.run((8, 8), engine=SimulatedEngine(toy_space, (8, 8)),
+                 tracer=tracer)
         starts = [r for r in tracer.records if r["type"] == "run-start"]
         assert starts and all(r["engine"] == "simulated" for r in starts)
 

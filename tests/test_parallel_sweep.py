@@ -5,9 +5,9 @@ The contract under test (DESIGN.md §9): a ``SweepDriver`` with
 tallies and obs counters) and write-ahead journal records **equal** to
 the serial driver's -- parallelism is an execution detail, never a
 semantic one. Everything that cannot honour that contract across
-process boundaries (engine closures, prebuilt algorithm instances,
-in-flight checkpoint reuse, database-backed engines) must be refused
-with a clear error, not silently degraded.
+process boundaries (prebuilt algorithm instances, row-backed engines
+without a declarative database) must be refused with a clear error,
+not silently degraded.
 """
 
 import os
@@ -144,24 +144,12 @@ class TestFaultSeedSplit:
 
 
 class TestRestrictions:
-    def test_engine_factory_closure_is_refused(self):
-        driver = SweepDriver(
-            _session(), workers=2,
-            engine_factory=lambda qa: SimulatedEngine(None, qa))
-        with pytest.raises(DiscoveryError, match="engine_factory"):
-            _records(driver)
-
     def test_prebuilt_instances_are_refused(self):
         session = _session()
         instance = session.algorithm("spillbound", query=QUERY)
         driver = SweepDriver(session, workers=2)
         with pytest.raises(DiscoveryError, match="instances"):
             _records(driver, algorithms=(instance,))
-
-    def test_spec_and_factory_are_mutually_exclusive(self):
-        with pytest.raises(DiscoveryError, match="not both"):
-            SweepDriver(_session(), engine_spec="simulated",
-                        engine_factory=lambda qa: None)
 
 
 class TestResume:

@@ -328,8 +328,7 @@ def daemon(tmp_path_factory):
     config = ServeConfig(
         path=sock, max_inflight=2, max_queue=8,
         tenant_capacity=1000.0, tenant_rate=1000.0,
-        default_deadline_ms=60000.0, degraded_resolution=5,
-        native_floor_ms=50.0, cold_floor_ms=400.0)
+        default_deadline_ms=60000.0)
     server = ServerThread(config=config)
     server.start()
     try:
@@ -412,7 +411,7 @@ class TestDaemonIntegration:
         assert response["served"] in ("lowres", "cached")
         assert any(r.startswith("lowres-deadline")
                    for r in response["degraded_reasons"])
-        assert response["result"]["resolution"] == 5
+        assert response["result"]["resolution"] == 6
 
     def test_zero_deadline_is_shed(self, client):
         with pytest.raises(ServeError) as exc:

@@ -183,6 +183,37 @@ class TestAlgorithmsAndRuns:
         assert sweep.mso >= 1.0
         assert sweep.aso <= sweep.mso
 
+    def test_sweep_guards_an_instance_once(self, toy_query):
+        session = RobustSession(resolution=6, guard=True)
+        sweep = session.sweep(toy_query, "spillbound", sample=4, rng=1)
+        assert sweep.algorithm == "guarded-spillbound"
+
+    def test_sweep_paths_run_the_session_engine(self):
+        """A ``SweepDriver`` given no ``engine_spec`` runs the session's
+        spec: its grids equal ``session.sweep``'s, an explicit
+        ``engine_spec=``'s and a two-worker sweep's."""
+        from repro.session import SweepDriver
+
+        spec = "simulated+noisy(delta=0.3,seed=5)"
+        session = RobustSession(engine_spec=spec)
+
+        def driven(session, **kwargs):
+            driver = SweepDriver(session, sample=12, rng=0, resolution=6,
+                                 **kwargs)
+            return next(driver.run(["2D_Q91"], ["spillbound"])).sweep
+
+        implicit = driven(session)
+        for other in (driven(session, engine_spec=spec),
+                      driven(session, workers=2),
+                      session.sweep("2D_Q91", "spillbound", sample=12,
+                                    rng=0, resolution=6)):
+            assert np.array_equal(implicit.sub_optimalities,
+                                  other.sub_optimalities)
+        # The noise is real: plain simulated engines answer otherwise.
+        plain = driven(RobustSession())
+        assert not np.array_equal(implicit.sub_optimalities,
+                                  plain.sub_optimalities)
+
     def test_contours_for_foreign_space(self):
         session = RobustSession()
         synthetic = textbook_space(resolution=16)
