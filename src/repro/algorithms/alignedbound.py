@@ -18,6 +18,11 @@ dimensionality). The all-singletons partition always exists with penalty
 SpillBound, and retains the ``D^2 + 3D`` guarantee while reaching
 ``2D + 2`` when alignment holds everywhere (Theorem 5.1).
 
+:meth:`AlignedBound.choose` answers each (contour, learnt dims,
+remaining epps) state with one spill step per non-empty part, and the
+partition travels with the steps for the ``psa-partition`` event and the
+``max_penalty`` extra; the shared driver executes them.
+
 Replacement plans come from the POSP plan universe plus a constrained
 optimizer call ("cheapest plan spilling on e_j"), mirroring the engine
 hook described in §6.1. The universe is the plans the build registered:
@@ -30,22 +35,20 @@ depends on what ran before
 import numpy as np
 
 from repro.algorithms.alignment import cheapest_spilling_plan
-from repro.algorithms.base import ExecutionRecord
 from repro.algorithms.spillbound import SpillBound
 
 
 class _PartChoice:
     """Resolved execution choice for one partition part."""
 
-    __slots__ = ("leader", "plan", "node", "location", "budget", "penalty",
-                 "native", "empty")
+    __slots__ = ("leader", "plan", "node", "budget", "penalty", "native",
+                 "empty")
 
-    def __init__(self, leader, plan=None, node=None, location=None,
-                 budget=0.0, penalty=0.0, native=False, empty=False):
+    def __init__(self, leader, plan=None, node=None, budget=0.0,
+                 penalty=0.0, native=False, empty=False):
         self.leader = leader
         self.plan = plan
         self.node = node
-        self.location = location
         self.budget = budget
         self.penalty = penalty
         self.native = native
@@ -63,7 +66,6 @@ class AlignedBound(SpillBound):
         #: cheapest enforcement exceeds it are treated as unalignable
         #: (used for the Table 2 sensitivity study).
         self.max_penalty = max_penalty
-        self._analysis_cache = {}
         self._constrained_cache = {}
 
     def mso_lower_guarantee(self):
@@ -77,78 +79,34 @@ class AlignedBound(SpillBound):
 
     # ------------------------------------------------------------------
 
-    def _contour_pass(self, engine, state, i):
-        """One AlignedBound pass over contour ``i`` (Algorithm 2)."""
-        members = self.contours.members(i, fixed=state.resolved)
-        if members.is_empty:
-            return False
-        remaining_key = frozenset(state.remaining)
-        parts = self._plan_contour(i, state.resolved, remaining_key, members)
-        if parts is None:
-            # No feasible partition (no spillable plan anywhere): fall
-            # back to SpillBound's per-epp pass.
-            return super()._contour_pass(engine, state, i)
-        total_penalty = sum(p.penalty for p in parts if not p.empty)
-        state.extras["max_penalty"] = max(
-            state.extras.get("max_penalty", 0.0), total_penalty
-        )
-        if state.tracer.enabled:
-            state.tracer.event(
-                "psa-partition",
-                contour=i,
-                parts=[{"leader": p.leader, "native": p.native,
-                        "penalty": p.penalty}
-                       for p in parts if not p.empty],
-                penalty=total_penalty,
-            )
-        for part in sorted(parts,
-                           key=lambda p: self.space.query.epp_index(p.leader)):
-            if part.empty:
-                continue
-            repeat = (i, part.leader) in state.executed
-            state.executed.add((i, part.leader))
-            outcome = engine.execute_spill(
-                part.plan, part.leader, part.node, part.budget
-            )
-            state.charge(ExecutionRecord(
-                contour=i,
-                plan_id=part.plan.id,
-                mode="spill",
-                epp=part.leader,
-                budget=part.budget,
-                spent=outcome.spent,
-                completed=outcome.completed,
-                learned=outcome.learned_index,
-                repeat=repeat,
-            ))
-            if outcome.completed:
-                state.learn_exact(outcome.dim, part.leader,
-                                  outcome.learned_index)
-                state.sync(i)
-                return True
-            state.learn_bound(outcome.dim, outcome.learned_index)
-            state.sync(i)
-        return False
-
-    # ------------------------------------------------------------------
-    # contour analysis (cached across runs: the same contour state
-    # reappears for every qa sharing the learnt prefix)
-
-    def _plan_contour(self, i, resolved, remaining_key, members):
-        cache_key = (i, tuple(sorted(resolved.items())), remaining_key)
-        if cache_key in self._analysis_cache:
-            return self._analysis_cache[cache_key]
-        parts = self._analyse(i, remaining_key, members)
-        self._analysis_cache[cache_key] = parts
-        return parts
+    def choose(self, contour, resolved, remaining):
+        """One spill step per non-empty part of the minimum-penalty
+        partition (Algorithm 2), at the part's budget, with the
+        partition's ``(penalty, parts)``; SpillBound's steps when no
+        partition is feasible, with one epp left, or past the last
+        contour."""
+        if contour < len(self.contours) and len(remaining) > 1:
+            members = self.contours.members(contour, fixed=resolved)
+            if members.is_empty:
+                return (), None
+            parts = self._analyse(contour, remaining, members)
+            if parts is not None:
+                parts = [p for p in parts if not p.empty]
+                epp_index = self.space.query.epp_index
+                steps = tuple((p.plan, "spill", p.leader, p.node, p.budget)
+                              for p in sorted(
+                                  parts, key=lambda p: epp_index(p.leader)))
+                return steps, (sum(p.penalty for p in parts),
+                               tuple((p.leader, p.native, p.penalty)
+                                     for p in parts))
+        # No feasible partition (no spillable plan anywhere): fall back
+        # to SpillBound's per-epp steps.
+        return super().choose(contour, resolved, remaining)
 
     def _analyse(self, i, remaining_key, members):
         query = self.space.query
         remaining = sorted(remaining_key, key=query.epp_index)
-        targets = np.array([
-            self._spill_target(int(pid), remaining_key)
-            for pid in members.plan_ids
-        ], dtype=object)
+        targets = self._member_targets(members, remaining_key)
 
         part_memo = {}
 
@@ -204,15 +162,11 @@ class AlignedBound(SpillBound):
 
         if leader_max >= extreme:
             # Native PSA: SpillBound's own P^j_max suffices.
-            peak = leader_mask & (members.coords[:, dim] == leader_max)
-            pick = _lex_pick(members.coords[peak])
-            plan = self.space.plans[int(members.plan_ids[peak][pick])]
-            location = tuple(int(c) for c in members.coords[peak][pick])
-            target = plan.spill_target(remaining_key)
-            return _PartChoice(
-                leader, plan, target[1], location,
-                budget=self.contours.cost(i), penalty=1.0, native=True,
-            )
+            plan, node = self._choose_spill_plan(members, leader_mask, leader,
+                                                 remaining_key)
+            return _PartChoice(leader, plan, node,
+                               budget=self.contours.cost(i), penalty=1.0,
+                               native=True)
 
         # Induced PSA: replace the optimal plan at some location of
         # S = {q in IC_i : q.dim == extreme} with a plan spilling on the
@@ -228,16 +182,8 @@ class AlignedBound(SpillBound):
         if self.max_penalty is not None and penalty > self.max_penalty:
             return None
         target = plan.spill_target(remaining_key)
-        return _PartChoice(
-            leader, plan, target[1], location,
-            budget=cost, penalty=penalty, native=False,
-        )
-
-
-def _lex_pick(coords):
-    """Index of the lexicographically largest coordinate row."""
-    order = np.lexsort(coords.T[::-1])
-    return int(order[-1])
+        return _PartChoice(leader, plan, target[1], budget=cost,
+                           penalty=penalty, native=False)
 
 
 def _set_partitions(items):

@@ -14,8 +14,7 @@ Two MSO notions are provided:
 
 import numpy as np
 
-from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    begin_traced_run
+from repro.algorithms.base import RobustAlgorithm
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -48,29 +47,7 @@ class NativeOptimizer(RobustAlgorithm):
 
     def run(self, qa_index, engine=None, checkpoint=None,
             tracer=NULL_TRACER):
-        qa_index = tuple(qa_index)
-        plan = self._qe_plan
-        if tracer.enabled:
-            begin_traced_run(tracer, self.name, qa_index, engine)
-        if engine is not None:
-            cost = engine.execute(plan, float("inf")).spent
-        else:
-            cost = float(plan.cost[qa_index])
-        record = ExecutionRecord(
-            contour=-1,
-            plan_id=plan.id,
-            mode="regular",
-            epp=None,
-            budget=cost,
-            spent=cost,
-            completed=True,
-        )
-        optimal = (
-            self.space.optimal_cost(qa_index) if engine is None
-            else engine.optimal_cost
-        )
-        return self._trace_run_end(
-            RunResult(self.name, qa_index, cost, optimal, [record]), tracer)
+        return self._single_run(qa_index, self._qe_plan, engine, tracer)
 
     def worst_case_mso(self):
         """Eq. (2): max over every (qe, qa) grid pair of SubOpt(qe, qa).

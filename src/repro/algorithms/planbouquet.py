@@ -4,21 +4,19 @@ Contour-by-contour, every bouquet plan on the contour is executed with a
 budget equal to the contour cost (inflated by ``(1 + lambda)`` when the
 bouquet comes from an anorexically reduced plan diagram, which is the
 paper's experimental configuration). The first completing execution
-returns the query result.
+returns the query result. :meth:`PlanBouquet.choose` names a contour's
+plans in id order; the shared driver of :mod:`repro.algorithms.base`
+executes them.
 
 MSO guarantee: ``4 * (1 + lambda) * rho_red`` where ``rho_red`` is the
 plan cardinality of the densest contour after reduction -- the
 *behavioral* bound whose platform-dependence motivates SpillBound.
 """
 
-import math
-
-from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    begin_traced_run, end_traced_run
+from repro.algorithms.base import RobustAlgorithm
 from repro.common.errors import DiscoveryError
 from repro.ess.anorexic import anorexic_reduction
 from repro.ess.contours import ContourSet
-from repro.obs.tracer import NULL_TRACER
 
 
 class PlanBouquet(RobustAlgorithm):
@@ -60,53 +58,19 @@ class PlanBouquet(RobustAlgorithm):
 
     # ------------------------------------------------------------------
 
-    def _contour_order(self, i, qa_index):
-        """Plan execution order on contour ``i`` (deterministic here;
-        the randomized variant overrides this)."""
-        return self.contour_plans[i]
+    def choose(self, contour, resolved, remaining):
+        """The contour's plans in id order at ``(1 + lambda) CC_i``, in
+        regular mode; none past the last contour."""
+        if contour == len(self.contours):
+            raise DiscoveryError(
+                "%s exhausted all contours without completing; "
+                "the contour frontier does not dominate the hypograph"
+                % type(self).__name__
+            )
+        budget = self.contours.cost(contour) * self.budget_factor()
+        return tuple((self.space.plans[plan_id], "regular", None, None,
+                      budget)
+                     for plan_id in self.contour_plans[contour]), None
 
-    def run(self, qa_index, engine=None, checkpoint=None,
-            tracer=NULL_TRACER):
-        qa_index = tuple(qa_index)
-        engine = engine or self.engine_for(qa_index)
-        if tracer.enabled:
-            begin_traced_run(tracer, self.name, qa_index, engine)
-        factor = self.budget_factor()
-        records = []
-        start = 0
-        if checkpoint is not None and checkpoint.active:
-            start = min(checkpoint.contour, len(self.contours) - 1)
-        for i in range(start, len(self.contours)):
-            if checkpoint is not None:
-                checkpoint.capture(i)
-            if tracer.enabled and i > start:
-                tracer.event("contour-advance", contour=i,
-                             plans=len(self.contour_plans[i]))
-            budget = self.contours.cost(i) * factor
-            for plan_id in self._contour_order(i, qa_index):
-                outcome = engine.execute(self.space.plans[plan_id], budget)
-                record = ExecutionRecord(
-                    contour=i,
-                    plan_id=plan_id,
-                    mode="regular",
-                    epp=None,
-                    budget=budget,
-                    spent=outcome.spent,
-                    completed=outcome.completed,
-                )
-                records.append(record)
-                if tracer.enabled:
-                    tracer.event("execution", **record.as_event())
-                if outcome.completed:
-                    result = RunResult(
-                        self.name, qa_index,
-                        math.fsum(r.spent for r in records),
-                        engine.optimal_cost, records)
-                    if tracer.enabled:
-                        end_traced_run(tracer, result)
-                    return result
-        raise DiscoveryError(
-            "%s exhausted all contours without completing; "
-            "the contour frontier does not dominate the hypograph"
-            % type(self).__name__
-        )
+    def _advance_fields(self, contour, state):
+        return {"plans": len(self.contour_plans[contour])}

@@ -9,7 +9,8 @@ completing contour. This variant makes the claim measurable next to the
 deterministic baseline.
 
 The shuffle is derived deterministically from ``(seed, qa)`` so sweeps
-remain reproducible.
+remain reproducible. It is applied per run to the memoized id-ordered
+step list, which stays shared with every other truth.
 """
 
 import numpy as np
@@ -27,12 +28,9 @@ class RandomizedPlanBouquet(PlanBouquet):
         super().__init__(space, contours, lam=lam, reduce=reduce)
         self.seed = seed
 
-    def _shuffled(self, plans, qa_index):
+    def _ordered(self, steps, qa_index):
         rng = np.random.default_rng(
             (self.seed,) + tuple(int(i) for i in qa_index))
-        order = list(plans)
+        order = list(steps)
         rng.shuffle(order)
         return order
-
-    def _contour_order(self, i, qa_index):
-        return self._shuffled(self.contour_plans[i], qa_index)

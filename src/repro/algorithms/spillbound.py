@@ -12,18 +12,19 @@ When a single epp remains, the discovery problem degenerates to 1-D and
 the classical PlanBouquet takes over from the current contour in regular
 (non-spill) execution mode, exactly as prescribed in §4.1.
 
+:meth:`SpillBound.choose` turns each (contour, learnt dims, remaining
+epps) state into these steps -- plus, past the last contour, the
+terminal step -- and the shared driver of :mod:`repro.algorithms.base`
+executes them, learning from each spill outcome.
+
 MSO guarantee: ``D^2 + 3D`` (Theorem 4.5), platform-independent.
 """
 
-import math
-
 import numpy as np
 
-from repro.algorithms.base import ExecutionRecord, RobustAlgorithm, RunResult, \
-    begin_traced_run, end_traced_run
+from repro.algorithms.base import RobustAlgorithm
 from repro.common.errors import DiscoveryError
 from repro.ess.contours import ContourSet
-from repro.obs.tracer import NULL_TRACER
 
 
 def spillbound_guarantee(dims, ratio=2.0):
@@ -85,87 +86,64 @@ class SpillBound(RobustAlgorithm):
 
     # ------------------------------------------------------------------
 
-    def run(self, qa_index, engine=None, checkpoint=None,
-            tracer=NULL_TRACER):
-        qa_index = tuple(qa_index)
-        engine = engine or self.engine_for(qa_index)
-        if tracer.enabled:
-            begin_traced_run(tracer, self.name, qa_index, engine)
-        state = _DiscoveryState(self.space, checkpoint, tracer=tracer)
-        m = len(self.contours)
-        i = 0
-        if checkpoint is not None and checkpoint.active:
-            i = min(checkpoint.restore(state), m - 1)
-        while i < m:
-            state.sync(i)
-            if len(state.remaining) == 1:
-                done = self._one_d_phase(engine, state, i)
-                if done:
-                    return state.result(self.name, qa_index, engine)
-                break  # contours exhausted inside the 1-D phase
-            learned = self._contour_pass(engine, state, i)
-            if not learned:
-                i += 1
-        # Safety net for degenerate cases (e.g. cyclic epps that no plan
-        # on the final contour can spill on): execute the optimal plan of
-        # the effective terminus in regular mode; by PCM it completes
-        # within the maximal budget.
-        self._terminal_execution(engine, state, m - 1)
-        return state.result(self.name, qa_index, engine)
-
-    # ------------------------------------------------------------------
-    # contour processing
-
-    def _contour_pass(self, engine, state, i):
-        """Execute up to ``|EPP|`` spill plans on contour ``i``.
-
-        Returns True when some epp was fully learnt (Algorithm 1 then
-        re-enters the same contour with the shrunken EPP set).
-        """
-        members = self.contours.members(i, fixed=state.resolved)
+    def choose(self, contour, resolved, remaining):
+        """``P^j_max`` spill steps for the remaining epps, in epp order;
+        the 1-D regular step when one epp remains; past the last
+        contour, the terminal step."""
+        last = len(self.contours) - 1
+        if contour > last:
+            return self._terminal_step(last, resolved), None
+        members = self.contours.members(contour, fixed=resolved)
         if members.is_empty:
-            return False
-        remaining_key = frozenset(state.remaining)
-        budget = self.contours.cost(i)
-        for epp in sorted(state.remaining, key=self.space.query.epp_index):
-            choice = self._choose_spill_plan(members, epp, remaining_key)
-            if choice is None:
-                continue  # no plan on this contour spills on epp: skip
-            plan, node = choice
-            repeat = (i, epp) in state.executed
-            state.executed.add((i, epp))
-            outcome = engine.execute_spill(plan, epp, node, budget)
-            state.charge(ExecutionRecord(
-                contour=i,
-                plan_id=plan.id,
-                mode="spill",
-                epp=epp,
-                budget=budget,
-                spent=outcome.spent,
-                completed=outcome.completed,
-                learned=outcome.learned_index,
-                repeat=repeat,
-            ))
-            if outcome.completed:
-                state.learn_exact(outcome.dim, epp, outcome.learned_index)
-                state.sync(i)
-                return True
-            state.learn_bound(outcome.dim, outcome.learned_index)
-            state.sync(i)
-        return False
+            return (), None
+        budget = self.contours.cost(contour)
+        if len(remaining) == 1:
+            # 1-D endgame (classical PlanBouquet, regular executions):
+            # the 1-D frontier is a single crossing point; pick the
+            # largest remaining-dim coordinate for determinism.
+            dim = self.space.query.epp_index(next(iter(remaining)))
+            pick = int(np.argmax(members.coords[:, dim]))
+            plan = self.space.plans[int(members.plan_ids[pick])]
+            return ((plan, "regular", None, None, budget),), None
+        targets = self._member_targets(members, remaining)
+        steps = []
+        for epp in sorted(remaining, key=self.space.query.epp_index):
+            choice = self._choose_spill_plan(members, targets == epp, epp,
+                                             remaining)
+            if choice is not None:  # else no plan here spills on epp
+                plan, node = choice
+                steps.append((plan, "spill", epp, node, budget))
+        return tuple(steps), None
 
-    def _choose_spill_plan(self, members, epp, remaining_key):
+    def _terminal_step(self, last, resolved):
+        """Safety net for degenerate cases (e.g. cyclic epps that no plan
+        on the final contour can spill on): the optimal plan of the
+        effective terminus -- the lexicographically largest member of the
+        last contour -- in regular mode; by PCM it completes within the
+        maximal budget."""
+        members = self.contours.members(last, fixed=resolved)
+        if members.is_empty:
+            raise DiscoveryError("final contour has no effective members")
+        pick = np.lexsort(members.coords.T[::-1])[-1]
+        plan = self.space.plans[int(members.plan_ids[pick])]
+        return ((plan, "regular", None, None, self.contours.cost(last)),)
+
+    def _member_targets(self, members, remaining_key):
+        """The epp each member's plan spills on (``None`` when it spills
+        on none), as an object array; each distinct plan is asked once."""
+        plan_ids, inverse = np.unique(members.plan_ids, return_inverse=True)
+        return np.array([self._spill_target(int(pid), remaining_key)
+                         for pid in plan_ids], dtype=object)[inverse]
+
+    def _choose_spill_plan(self, members, spilling, epp, remaining_key):
         """``P^j_max`` of §3.2: the plan at the max-coordinate location
-        (along ``epp``'s dimension) among members spilling on ``epp``."""
+        (along ``epp``'s dimension) among the members the mask
+        ``spilling`` marks as spilling on ``epp``."""
         dim = self.space.query.epp_index(epp)
-        targets = np.array([
-            self._spill_target(int(pid), remaining_key) == epp
-            for pid in members.plan_ids
-        ])
-        if not targets.any():
+        if not spilling.any():
             return None
-        coords = members.coords[targets]
-        plan_ids = members.plan_ids[targets]
+        coords = members.coords[spilling]
+        plan_ids = members.plan_ids[spilling]
         along = coords[:, dim]
         peak = along == along.max()
         # Deterministic tie-break: lexicographically largest coordinates.
@@ -183,130 +161,3 @@ class SpillBound(RobustAlgorithm):
             target = self.space.plans[plan_id].spill_target(remaining_key)
             self._target_cache[key] = target[0] if target else None
         return self._target_cache[key]
-
-    # ------------------------------------------------------------------
-    # 1-D endgame (classical PlanBouquet, regular executions)
-
-    def _one_d_phase(self, engine, state, start_contour):
-        for k in range(start_contour, len(self.contours)):
-            state.sync(k)
-            members = self.contours.members(k, fixed=state.resolved)
-            if members.is_empty:
-                continue
-            # The 1-D frontier is a single crossing point; pick the
-            # largest remaining-dim coordinate for determinism.
-            dim = self.space.query.epp_index(next(iter(state.remaining)))
-            pick = int(np.argmax(members.coords[:, dim]))
-            plan = self.space.plans[int(members.plan_ids[pick])]
-            budget = self.contours.cost(k)
-            outcome = engine.execute(plan, budget)
-            state.charge(ExecutionRecord(
-                contour=k,
-                plan_id=plan.id,
-                mode="regular",
-                epp=None,
-                budget=budget,
-                spent=outcome.spent,
-                completed=outcome.completed,
-            ))
-            if outcome.completed:
-                return True
-        return False
-
-    def _terminal_execution(self, engine, state, last_contour):
-        members = self.contours.members(last_contour, fixed=state.resolved)
-        if members.is_empty:
-            raise DiscoveryError("final contour has no effective members")
-        # The effective terminus: lexicographically largest member.
-        order = np.lexsort(members.coords.T[::-1])
-        pick = order[-1]
-        plan = self.space.plans[int(members.plan_ids[pick])]
-        budget = self.contours.cost(last_contour)
-        outcome = engine.execute(plan, budget)
-        state.charge(ExecutionRecord(
-            contour=last_contour,
-            plan_id=plan.id,
-            mode="regular",
-            epp=None,
-            budget=budget,
-            spent=outcome.spent,
-            completed=outcome.completed,
-        ))
-        if not outcome.completed:
-            raise DiscoveryError(
-                "terminal execution failed: cost surface violates PCM"
-            )
-
-
-class _DiscoveryState:
-    """Mutable bookkeeping shared by SpillBound-style algorithms."""
-
-    __slots__ = ("space", "resolved", "remaining", "qrun", "spent",
-                 "records", "executed", "extras", "checkpoint", "contour",
-                 "tracer")
-
-    def __init__(self, space, checkpoint=None, tracer=NULL_TRACER):
-        self.space = space
-        self.resolved = {}  # dim -> exact grid index
-        self.remaining = set(space.query.epps)
-        self.qrun = [0] * space.grid.dims  # inclusive lower-bound indices
-        self.spent = 0.0
-        self.records = []
-        self.executed = set()
-        self.extras = {}
-        self.checkpoint = checkpoint
-        self.contour = 0
-        self.tracer = tracer
-
-    def charge(self, record):
-        self.spent += record.spent
-        self.records.append(record)
-        if self.tracer.enabled:
-            self.tracer.event("execution", **record.as_event())
-
-    def sync(self, contour):
-        """Snapshot certified knowledge into the checkpoint (if any)."""
-        if self.tracer.enabled and contour != self.contour:
-            self.tracer.event(
-                "contour-advance",
-                contour=contour,
-                remaining=sorted(self.remaining),
-                resolved=len(self.resolved),
-            )
-        self.contour = contour
-        if self.checkpoint is not None:
-            self.checkpoint.capture(
-                contour,
-                resolved=self.resolved,
-                qrun=self.qrun,
-                remaining=self.remaining,
-                executed=self.executed,
-            )
-
-    def learn_exact(self, dim, epp, index):
-        self.resolved[dim] = index
-        self.qrun[dim] = index
-        self.remaining.discard(epp)
-        if self.tracer.enabled:
-            self.tracer.event("spill", dim=dim, epp=epp, index=index)
-
-    def learn_bound(self, dim, learned_index):
-        # The engine certifies qa strictly beyond `learned_index`.
-        self.qrun[dim] = max(self.qrun[dim], learned_index + 1)
-        if self.tracer.enabled:
-            self.tracer.event("half-space-prune", dim=dim,
-                              certified=learned_index,
-                              bound=self.qrun[dim])
-
-    def result(self, name, qa_index, engine):
-        # fsum: the exactly rounded sum of the record spends, so a trace
-        # decomposition recomputing it from the same floats reconciles
-        # bitwise with this total.
-        total = math.fsum(r.spent for r in self.records)
-        result = RunResult(
-            name, qa_index, total, engine.optimal_cost, self.records,
-            extras=dict(self.extras),
-        )
-        if self.tracer.enabled:
-            end_traced_run(self.tracer, result)
-        return result

@@ -466,8 +466,13 @@ def main(argv=None):
 
     if args.command == "run":
         query = workload(args.workload)
+        guard = None
+        if args.faults is not None:
+            from repro.robustness import RetryPolicy
+            guard = RetryPolicy(max_retries=args.max_retries)
         algorithm = session.algorithm(args.algorithm, query=query,
-                                      resolution=args.resolution)
+                                      resolution=args.resolution,
+                                      guard=guard)
         space = algorithm.space
         if args.qa:
             qa = tuple(int(x) for x in args.qa.split(","))
@@ -480,7 +485,6 @@ def main(argv=None):
                                     database=dbspec)
         if args.faults is not None:
             from repro.engine.faulty import FaultPlan
-            from repro.robustness import RetryPolicy
             plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
             # repr round-trips each knob exactly; "+" separates spec
             # layers, so an exponent drops its sign.
@@ -491,9 +495,6 @@ def main(argv=None):
                 plan.seed)
             engine = session.engine(space, qa_index=qa, spec=spec,
                                     database=dbspec)
-            algorithm = session.algorithm(
-                algorithm,
-                guard=RetryPolicy(max_retries=args.max_retries))
         if args.qa is None and engine is not None:
             # Row-backed engines discover the truth from the generated
             # data; report the run against that location, not the

@@ -24,6 +24,7 @@ the only approximation risk of ``fast`` is missing a plan whose
 optimality region evaded both seeding and validation probes.
 """
 
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -139,6 +140,11 @@ class ExplorationSpace:
         self.grid = grid
         self.plans = []
         self._signatures = {}
+        #: Held from the signature check through the insert, so threads
+        #: probing one shared space (the serve daemon's compute pool)
+        #: never register a plan twice. Spaces reach worker processes by
+        #: fork or by a rebuild, never by pickle.
+        self._register_lock = threading.Lock()
         self._flat_meshes = None
         self.plan_at = None
         self.opt_cost = None
@@ -203,30 +209,31 @@ class ExplorationSpace:
         verbatim, skipping the cost model entirely.
         """
         signature = tree.signature()
-        if signature in self._signatures:
-            return self._signatures[signature]
-        if cost is None:
-            kernel = self.kernel
-            if kernel is not None:
-                cost = kernel.plan_surface(tree)
+        with self._register_lock:
+            if signature in self._signatures:
+                return self._signatures[signature]
+            if cost is None:
+                kernel = self.kernel
+                if kernel is not None:
+                    cost = kernel.plan_surface(tree)
+                else:
+                    cost = np.asarray(
+                        self.cost_model.cost(tree, self._grid_assignment())
+                    ).reshape(self.grid.shape)
             else:
-                cost = np.asarray(
-                    self.cost_model.cost(tree, self._grid_assignment())
-                ).reshape(self.grid.shape)
-        else:
-            cost = np.asarray(cost, dtype=float).reshape(self.grid.shape)
-        spill_order = []
-        for name, node in epp_total_order(tree, self.query.epps):
-            subtree_epps = set()
-            for member in node.walk():
-                if isinstance(member, JOIN_LIKE):
-                    subtree_epps.update(member.predicate_names)
-            subtree_epps &= set(self.query.epps)
-            spill_order.append((name, node, frozenset(subtree_epps)))
-        info = PlanInfo(len(self.plans), tree, cost, spill_order)
-        self.plans.append(info)
-        self._signatures[signature] = info
-        return info
+                cost = np.asarray(cost, dtype=float).reshape(self.grid.shape)
+            spill_order = []
+            for name, node in epp_total_order(tree, self.query.epps):
+                subtree_epps = set()
+                for member in node.walk():
+                    if isinstance(member, JOIN_LIKE):
+                        subtree_epps.update(member.predicate_names)
+                subtree_epps &= set(self.query.epps)
+                spill_order.append((name, node, frozenset(subtree_epps)))
+            info = PlanInfo(len(self.plans), tree, cost, spill_order)
+            self.plans.append(info)
+            self._signatures[signature] = info
+            return info
 
     @property
     def built_plans(self):

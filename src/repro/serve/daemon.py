@@ -696,10 +696,9 @@ class RobustServeDaemon:
                     "contours": len(contours)}
         spec = plan.spec
         backend = self._requested_backend(spec)
-        board = session.breakers
-        if board is None or backend in (None, "native"):
+        if backend in (None, "native"):
             return self._run_plan(plan, space, contours, spec)
-        breaker = board.breaker_for("backend:%s" % backend)
+        breaker = session.breakers.breaker_for("backend:%s" % backend)
         if not breaker.allow():
             self.metrics.counter("serve.failover.fastfail").inc()
             return self._run_plan(
@@ -717,12 +716,10 @@ class RobustServeDaemon:
         return result
 
     def _run_plan(self, plan, space, contours, spec, failover=()):
-        breaker = self.session.breakers.breaker_for(spec) \
-            if self.session.breakers is not None else None
-        algo = self.session.algorithm(plan.algorithm, space=space,
-                                      contours=contours,
-                                      deadline=plan.deadline,
-                                      breaker=breaker)
+        algo = self.session.algorithm(
+            plan.algorithm, space=space, contours=contours,
+            deadline=plan.deadline,
+            breaker=self.session.breakers.breaker_for(spec))
         engine = None
         if spec != EngineSpec.parse("simulated"):
             engine = spec.build(space, qa_index=plan.qa,
@@ -770,8 +767,7 @@ class RobustServeDaemon:
                 "entries": len(self.session.cache),
                 "summary": self.session.cache.stats.describe(),
             },
-            "breakers": self.session.breakers.export()
-            if self.session.breakers is not None else {},
+            "breakers": self.session.breakers.export(),
             "faults": self._fault_injector.snapshot()
             if self._fault_injector is not None else None,
         })

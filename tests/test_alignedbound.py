@@ -89,14 +89,32 @@ class TestExecution:
         assert result.extras.get("max_penalty", 0.0) >= 0.0
         assert math.isfinite(result.extras.get("max_penalty", 0.0))
 
-    def test_analysis_cache_reused(self, toy_space, toy_contours):
+    def test_step_memo_reused(self, toy_space, toy_contours, monkeypatch):
+        def answers(ab):
+            return {(facts, contour): choice
+                    for facts, row in ab._choices.items()
+                    for contour, choice in enumerate(row)
+                    if choice is not None}
+
         ab = AlignedBound(toy_space, toy_contours)
+        calls = []
+        analyse = ab._analyse
+        monkeypatch.setattr(ab, "_analyse",
+                            lambda *args: calls.append(args) or analyse(*args))
         ab.run((5, 5))
-        size_after_first = len(ab._analysis_cache)
+        assert calls
+        memo = answers(ab)
+        del calls[:]
+        ab.run((5, 5))
+        # A repeated run meets only memoized states: no analysis, and
+        # every earlier answer is kept as it was.
+        assert calls == []
+        assert answers(ab) == memo
         ab.run((5, 6))
-        # Shared prefix contours come from the cache; it grows by at
+        # Shared prefix contours come from the memo; it grows by at
         # most the new states, never resets.
-        assert len(ab._analysis_cache) >= size_after_first
+        grown = answers(ab)
+        assert all(grown[key] is choice for key, choice in memo.items())
 
     def test_penalty_cap_falls_back_cleanly(self, toy_space_3d,
                                             toy_contours_3d):

@@ -63,6 +63,22 @@ class TestCommands:
         assert code == 0
         assert "alignedbound at qa=(3, 4)" in out
 
+    def test_run_faults_guards_once(self, capsys):
+        """A guarded session's ``run --faults`` wraps the instance in one
+        guard, which carries the ``--max-retries`` policy."""
+        from repro.session import RobustSession, set_default_session
+
+        previous = set_default_session(RobustSession(guard=True))
+        try:
+            code, out = run_cli(
+                ["run", "2D_Q91", "--resolution", "8", "--faults", "0.2",
+                 "--fault-seed", "3"], capsys)
+        finally:
+            set_default_session(previous)
+        assert code == 0
+        assert "guarded-spillbound at qa=(5, 5)" in out
+        assert "guarded-guarded" not in out
+
     def test_sweep_sampled(self, capsys):
         code, out = run_cli(
             ["sweep", "2D_Q91", "--resolution", "8", "--sample", "10"],

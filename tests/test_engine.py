@@ -147,7 +147,7 @@ class TestSpillExecution:
     def test_learn_bound_tolerates_minus_one(self, toy_space):
         """``learn_bound(dim, -1)`` must be a no-op (lower bound stays at
         grid index 0), not an off-by-one or a negative index."""
-        from repro.algorithms.spillbound import _DiscoveryState
+        from repro.algorithms.base import _DiscoveryState
         state = _DiscoveryState(toy_space)
         state.learn_bound(0, -1)
         assert state.qrun == [0] * toy_space.grid.dims

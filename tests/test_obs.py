@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.algorithms.alignedbound import AlignedBound
 from repro.algorithms.base import RobustAlgorithm
 from repro.algorithms.planbouquet import PlanBouquet
 from repro.algorithms.spillbound import SpillBound
@@ -232,10 +233,11 @@ def _answer(result):
 class TestStatelessInstances:
     """One instance serves traced and untraced runs, back to back and
     from two threads: the tracer holds only the traced runs' events and
-    every answer equals a fresh instance's. Sharing warm instances
-    across served requests relies on this."""
+    every answer equals a fresh instance's. AlignedBound's threads probe
+    one shared space, which registers each probe plan once. Sharing warm
+    instances across served requests relies on this."""
 
-    @pytest.fixture(params=[SpillBound, PlanBouquet])
+    @pytest.fixture(params=[SpillBound, PlanBouquet, AlignedBound])
     def cls(self, request):
         return request.param
 

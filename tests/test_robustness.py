@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.algorithms.alignedbound import AlignedBound
+from repro.algorithms.base import _DiscoveryState
 from repro.algorithms.planbouquet import PlanBouquet
-from repro.algorithms.spillbound import SpillBound, _DiscoveryState
+from repro.algorithms.spillbound import SpillBound
 from repro.common.errors import DiscoveryError
 from repro.engine.faulty import FaultPlan, FaultyEngine
 from repro.engine.noisy import NoisyEngine

@@ -345,6 +345,15 @@ def client(daemon):
 
 
 class TestDaemonIntegration:
+    def test_session_without_breaker_board_is_refused(self):
+        """Engine crashes must fast-fail for every tenant, so the daemon
+        refuses a session that has no BreakerBoard."""
+        from repro.common.errors import ReproError
+        from repro.serve import RobustServeDaemon
+        from repro.session import RobustSession
+        with pytest.raises(ReproError, match="BreakerBoard"):
+            RobustServeDaemon(session=RobustSession())
+
     def test_health_and_stats(self, client):
         health = client.health()["result"]
         assert health["ok"] and health["protocol"] == 1

@@ -1,5 +1,9 @@
 """Tests for the exploration space: POSP construction and the OCS."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -63,6 +67,46 @@ class TestPlanRegistry:
         info = toy_space.register_plan(toy_space.plans[0].tree)
         assert info.id == toy_space.plans[0].id
         assert len(toy_space.plans) == count
+
+    def test_concurrent_registration_deduplicates(self, toy_query,
+                                                  monkeypatch):
+        """Threads registering the same trees into one space (the
+        serve daemon's compute pool probing a shared space) leave each
+        plan registered once, under a dense id."""
+        from repro.cost.kernel import GridKernel
+
+        donor = ExplorationSpace(toy_query, resolution=8, s_min=1e-5)
+        donor.build(mode="exact")
+        trees = [info.tree for info in donor.plans]
+        space = ExplorationSpace(toy_query, resolution=8, s_min=1e-5)
+        surface = GridKernel.plan_surface
+
+        def slow_surface(kernel, tree):
+            time.sleep(0.002)  # widen the check-then-insert window
+            return surface(kernel, tree)
+
+        monkeypatch.setattr(GridKernel, "plan_surface", slow_surface)
+        barrier = threading.Barrier(4)
+
+        def register():
+            barrier.wait(10)
+            for tree in trees:
+                space.register_plan(tree)
+
+        threads = [threading.Thread(target=register) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        signatures = [info.tree.signature() for info in space.plans]
+        assert len(signatures) == len(set(signatures)) == len(trees)
+        assert all(info.id == k for k, info in enumerate(space.plans))
 
     def test_spill_order_contains_epps_only(self, toy_space):
         for info in toy_space.plans:
