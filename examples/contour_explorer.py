@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from repro import RobustSession
-from repro.algorithms.alignment import analyse_alignment
+from repro.algorithms import AlignedBound
 from repro.common.reporting import format_table
 
 
@@ -34,7 +34,7 @@ def main(name="2D_Q91", resolution=32):
         space.c_min, space.c_max,
         np.log2(space.c_max / space.c_min)))
 
-    alignment = analyse_alignment(space, contours)
+    alignment = AlignedBound(space, contours).alignment()
     remaining = frozenset(query.epps)
     rows = []
     for i in range(len(contours)):

@@ -29,13 +29,39 @@ hook described in §6.1. The universe is the plans the build registered:
 plans that other probes registered into the shared space (earlier runs',
 or earlier parts' of this run) are not candidates, so an answer never
 depends on what ran before
-(:func:`repro.algorithms.alignment.cheapest_spilling_plan`).
+(:meth:`AlignedBound.cheapest_spilling_plan`).
+
+Table 2's contour alignment (paper §3.3) is the same PSA test with the
+whole EPP set as one part: :meth:`AlignedBound.alignment` reads it off
+:meth:`AlignedBound._evaluate_part` for every contour.
 """
 
 import numpy as np
 
-from repro.algorithms.alignment import cheapest_spilling_plan
 from repro.algorithms.spillbound import SpillBound
+
+
+class ContourAlignmentReport:
+    """Per-contour cheapest alignment penalties for one query space.
+
+    ``penalties[i]`` is the minimum penalty (over leader dimensions) at
+    which contour ``i`` can be made aligned; ``1.0`` means natively
+    aligned, ``inf`` means no leader's extreme admits a spilling plan.
+    """
+
+    __slots__ = ("penalties",)
+
+    def __init__(self, penalties):
+        self.penalties = penalties
+
+    def fraction_aligned(self, max_penalty=1.0):
+        """Fraction of contours alignable within ``max_penalty``."""
+        good = sum(1 for p in self.penalties if p <= max_penalty * (1 + 1e-9))
+        return good / len(self.penalties) if self.penalties else 1.0
+
+    def max_penalty(self):
+        """Penalty needed to align *every* contour (paper's "Max eps")."""
+        return max(self.penalties) if self.penalties else 1.0
 
 
 class _PartChoice:
@@ -60,12 +86,9 @@ class AlignedBound(SpillBound):
 
     name = "alignedbound"
 
-    def __init__(self, space, contours=None, max_penalty=None):
+    def __init__(self, space, contours=None):
         super().__init__(space, contours)
-        #: Optional cap on acceptable replacement penalties; parts whose
-        #: cheapest enforcement exceeds it are treated as unalignable
-        #: (used for the Table 2 sensitivity study).
-        self.max_penalty = max_penalty
+        #: Constrained-probe plan ids per ``(location, epp)``.
         self._constrained_cache = {}
 
     def mso_lower_guarantee(self):
@@ -76,6 +99,33 @@ class AlignedBound(SpillBound):
         """
         r = self.contours.ratio
         return r / (r - 1.0) + self.space.query.dimensions * r
+
+    def alignment(self):
+        """Table 2: every contour's cheapest alignment penalty (§3.3).
+
+        A contour is aligned along leader ``j`` when PSA holds for the
+        whole EPP set as one part led by ``j`` -- the test
+        :meth:`_evaluate_part` applies to each partition part. A
+        contour's penalty is the minimum over the leaders whose choice
+        is neither infeasible nor empty: ``1.0`` for an empty contour,
+        ``inf`` when no leader qualifies.
+        """
+        epps = self.space.query.epps
+        everything = frozenset(epps)
+        penalties = []
+        for i in range(len(self.contours)):
+            members = self.contours.members(i)
+            if members.is_empty:
+                penalties.append(1.0)
+                continue
+            targets = self._member_targets(members, everything)
+            choices = [self._evaluate_part(i, everything, members, targets,
+                                           epps, leader)
+                       for leader in epps]
+            penalties.append(min(
+                (c.penalty for c in choices if c is not None and not c.empty),
+                default=float("inf")))
+        return ContourAlignmentReport(penalties)
 
     # ------------------------------------------------------------------
 
@@ -145,7 +195,7 @@ class AlignedBound(SpillBound):
         """Enforcement choice for part ``part_tuple`` led by ``leader``.
 
         Returns a :class:`_PartChoice` (empty / native / induced) or
-        ``None`` when PSA cannot be enforced within ``max_penalty``.
+        ``None`` when no plan spilling on ``leader`` can enforce PSA.
         """
         query = self.space.query
         dim = query.epp_index(leader)
@@ -171,19 +221,56 @@ class AlignedBound(SpillBound):
         # Induced PSA: replace the optimal plan at some location of
         # S = {q in IC_i : q.dim == extreme} with a plan spilling on the
         # leader (paper §5.2.1).
-        best = cheapest_spilling_plan(
-            self.space, members.coords[members.coords[:, dim] == extreme],
-            leader, lambda plan_id: self._spill_target(plan_id, remaining_key),
-            self._constrained_cache)
+        best = self.cheapest_spilling_plan(
+            members.coords[members.coords[:, dim] == extreme], leader,
+            remaining_key)
         if best is None:
             return None
         cost, plan, location = best
-        penalty = cost / self.space.optimal_cost(location)
-        if self.max_penalty is not None and penalty > self.max_penalty:
-            return None
         target = plan.spill_target(remaining_key)
         return _PartChoice(leader, plan, target[1], budget=cost,
-                           penalty=penalty, native=False)
+                           penalty=cost / self.space.optimal_cost(location),
+                           native=False)
+
+    def cheapest_spilling_plan(self, coords, epp, remaining_key):
+        """Cheapest plan spilling on ``epp`` at some location of ``coords``.
+
+        The candidates are those of paper §5.2.1: the plans the space's
+        build registered (the POSP universe) plus one constrained-optimizer
+        probe -- the cheapest plan spilling on ``epp`` -- at the location
+        of ``coords`` with the cheapest optimal cost. A probe registers
+        its plan into the shared space, but plans that other probes
+        registered are never candidates, so the answer does not depend on
+        which runs came before. A plan spills on the epp it targets among
+        ``remaining_key``; probe plan ids are memoized per ``(location,
+        epp)``. Returns ``(cost, plan, location)``, or ``None`` when no
+        candidate spills on ``epp``.
+        """
+        space = self.space
+        best = None
+        for plan in space.built_plans:
+            if self._spill_target(plan.id, remaining_key) != epp:
+                continue
+            costs = plan.cost[tuple(coords.T)]
+            pick = int(np.argmin(costs))
+            cost = float(costs[pick])
+            if best is None or cost < best[0]:
+                best = (cost, plan, tuple(int(c) for c in coords[pick]))
+        opt_costs = space.opt_cost[tuple(coords.T)]
+        location = tuple(int(c) for c in coords[int(np.argmin(opt_costs))])
+        key = (location, epp)
+        if key not in self._constrained_cache:
+            result = space.optimize_at(location, spilling_on=epp)
+            self._constrained_cache[key] = \
+                space.register_plan(result.plan).id if result else None
+        plan_id = self._constrained_cache[key]
+        if plan_id is not None \
+                and self._spill_target(plan_id, remaining_key) == epp:
+            plan = space.plans[plan_id]
+            cost = float(plan.cost[location])
+            if best is None or cost < best[0]:
+                best = (cost, plan, location)
+        return best
 
 
 def _set_partitions(items):

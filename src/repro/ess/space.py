@@ -122,8 +122,6 @@ class ExplorationSpace:
         resolution=None,
         s_min=1e-6,
         grid=None,
-        cost_model=None,
-        bushy=False,
         kernel=True,
     ):
         if query.dimensions < 1:
@@ -131,8 +129,8 @@ class ExplorationSpace:
                 "query %r declares no error-prone predicates" % query.name
             )
         self.query = query
-        self.cost_model = cost_model or CostModel(query)
-        self.optimizer = Optimizer(query, self.cost_model, bushy=bushy)
+        self.cost_model = CostModel(query)
+        self.optimizer = Optimizer(query, self.cost_model)
         if grid is None:
             if resolution is None:
                 resolution = default_resolution(query.dimensions)

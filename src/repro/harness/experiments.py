@@ -13,15 +13,12 @@ artifact construction (spaces, contours) flows through the process-wide
 files and CLI invocations.
 """
 
-import numpy as np
-
 from repro.algorithms import (
     AlignedBound,
     NativeOptimizer,
     Oracle,
     SpillBound,
 )
-from repro.algorithms.alignment import analyse_alignment
 from repro.algorithms.spillbound import spillbound_guarantee
 from repro.catalog.datagen import generate_database
 from repro.common.reporting import Report
@@ -33,6 +30,7 @@ from repro.harness.workloads import (
     workload,
 )
 from repro.metrics.distribution import suboptimality_histogram
+from repro.metrics.mso import exhaustive_sweep, sample_locations
 from repro.session import SweepDriver, default_session
 from repro.query.query import Query, make_filter, make_join
 
@@ -157,7 +155,7 @@ def table2_alignment(names=("3D_Q96", "4D_Q7", "4D_Q26", "4D_Q91",
     for name in names:
         space, contours = default_session().space_and_contours(
             workload(name), resolution=resolution)
-        alignment = analyse_alignment(space, contours)
+        alignment = AlignedBound(space, contours).alignment()
         rows.append((
             name,
             100.0 * alignment.fraction_aligned(1.0),
@@ -242,25 +240,10 @@ def table3_trace(name="4D_Q91", resolution=None, qa_index=None,
 def table4_ab_penalty(names=PAPER_SUITE, resolution=None,
                       sweep_sample=None, rng=0):
     report = Report("Table 4: maximum penalty for AB")
-    rows = []
-    for name in names:
-        space, contours = default_session().space_and_contours(
-            workload(name), resolution=resolution)
-        ab = AlignedBound(space, contours)
-        grid = space.grid
-        max_penalty = 0.0
-        if sweep_sample is not None and sweep_sample < grid.size:
-            rng_local = np.random.default_rng(rng)
-            flats = rng_local.choice(grid.size, size=sweep_sample,
-                                     replace=False)
-        else:
-            flats = range(grid.size)
-        for flat in flats:
-            result = ab.run(grid.unflat(int(flat)))
-            max_penalty = max(
-                max_penalty, result.extras.get("max_penalty", 0.0)
-            )
-        rows.append((name, max_penalty))
+    driver = SweepDriver(default_session(), sample=sweep_sample, rng=rng,
+                         resolution=resolution)
+    rows = [(record.query_name, record.sweep.extras.get("max_penalty", 0.0))
+            for record in driver.run(names, ("alignedbound",))]
     report.add_table(
         "Max partition penalty across all runs",
         ["query", "max penalty"],
@@ -488,81 +471,81 @@ def fault_sweep(name="2D_Q91", rates=(0.0, 0.05, 0.1, 0.2, 0.4),
     count, wasted spend and watchdog interventions (deadline expiries,
     breaker fast-fails) grow with the fault rate.
 
+    Each rate is one :func:`~repro.metrics.mso.exhaustive_sweep` over
+    one guard from :meth:`RobustSession.algorithm
+    <repro.session.RobustSession.algorithm>`. Every truth draws its own
+    fault schedule, seeded ``fault_seed + 997 * flat index``.
     ``deadline``/``cost_budget`` attach a fresh per-rate
     :class:`~repro.robustness.durable.Deadline`; ``breaker`` (an int
     threshold) a fresh per-rate
     :class:`~repro.robustness.durable.CircuitBreaker`. All default to
     off, reproducing the historical accounting exactly.
     """
-    from repro.robustness import DiscoveryGuard, RetryPolicy
+    from repro.robustness import RetryPolicy
     from repro.robustness.durable import CircuitBreaker, Deadline
     from repro.session import EngineSpec
 
     session = default_session()
-    algorithm = session.algorithm("spillbound", query=name,
-                                  resolution=resolution)
-    space = algorithm.space
-    grid = space.grid
-    if sweep_sample is not None and sweep_sample < grid.size:
-        flats = np.random.default_rng(rng).choice(
-            grid.size, size=sweep_sample, replace=False)
-    else:
-        flats = np.arange(grid.size)
-
-    report = Report("Fault sweep: guarded-%s under an unreliable "
-                    "substrate (%s)" % (algorithm.name, name))
     spec = EngineSpec.parse("simulated+faulty()")
-    rows = []
-    worst = []
-    for rate in rates:
-        # Fresh watchdogs per rate row, so one rate's expired budget or
-        # tripped breaker cannot leak into the next.
+
+    def guarded(rate):
+        """A guard with fresh watchdogs and its engine factory, so one
+        rate's expired budget or tripped breaker cannot leak into the
+        next."""
         rate_deadline = None
         if deadline is not None or cost_budget is not None:
             rate_deadline = Deadline(wall_limit=deadline,
                                      cost_limit=cost_budget)
-        rate_breaker = CircuitBreaker(threshold=breaker) \
-            if breaker is not None else None
-        guard = DiscoveryGuard(
-            algorithm, policy=RetryPolicy(max_retries=max_retries),
-            deadline=rate_deadline, breaker=rate_breaker)
-        subopts = []
-        degraded = 0
-        deadline_hits = 0
-        breaker_hits = 0
-        retries = 0
-        wasted = 0.0
-        answered = 0.0
-        for flat in flats:
-            qa = grid.unflat(int(flat))
-            engine = spec.build(
+        guard = session.algorithm(
+            "spillbound", query=name, resolution=resolution,
+            guard=RetryPolicy(max_retries=max_retries),
+            deadline=rate_deadline,
+            breaker=None if breaker is None
+            else CircuitBreaker(threshold=breaker))
+        space = guard.space
+
+        def engine_factory(qa):
+            return spec.build(
                 space, qa_index=qa, crash=rate, transient=rate / 2.0,
                 corrupt=rate / 2.0, drift=rate / 2.0,
-                seed=fault_seed + 997 * int(flat))
-            result = guard.run(qa, engine=engine)
-            subopts.append(result.sub_optimality)
-            extras = result.extras
-            degraded += bool(extras.get("degraded"))
-            reason = extras.get("degraded_reason") or ""
-            deadline_hits += reason.startswith("deadline-")
-            breaker_hits += reason == "breaker-open"
-            retries += int(extras.get("retries", 0))
-            wasted += float(extras.get("wasted_cost", 0.0))
-            answered += result.total_cost
-            if rate == rates[-1] and len(worst) < 5:
-                worst.append(("qa=%s" % (qa,), extras))
-        n = len(subopts)
-        spend = answered + wasted
+                seed=fault_seed + 997 * space.grid.flat(qa))
+
+        return guard, engine_factory
+
+    rows = []
+    for rate in rates:
+        guard, engine_factory = guarded(rate)
+        sweep = exhaustive_sweep(guard, sample=sweep_sample, rng=rng,
+                                 engine_factory=engine_factory)
+        extras = sweep.extras
+        reasons = extras["degraded_reasons"]
+        n = sweep.sub_optimalities.size
+        spend = extras["spent"] + extras["wasted_cost"]
         rows.append((
             rate,
-            max(subopts),
-            sum(subopts) / n,
-            100.0 * degraded / n,
-            retries / n,
-            100.0 * wasted / spend if spend else 0.0,
-            deadline_hits,
-            breaker_hits,
+            sweep.mso,
+            sweep.aso,
+            100.0 * extras["degraded"] / n,
+            extras["retries"] / n,
+            100.0 * extras["wasted_cost"] / spend if spend else 0.0,
+            sum(count for reason, count in reasons.items()
+                if reason.startswith("deadline-")),
+            reasons.get("breaker-open", 0),
         ))
+
+    # The first sampled runs at the last rate, re-run under fresh
+    # watchdogs for their full accounting.
+    guard, engine_factory = guarded(rates[-1])
+    grid = guard.space.grid
+    flats, _sampled = sample_locations(grid, sweep_sample, rng)
+    samples = []
+    for flat in flats[:5]:
+        qa = grid.unflat(flat)
+        samples.append(("qa=%s" % (qa,), guard.run(
+            qa, engine=engine_factory(qa)).extras))
+
+    report = Report("Fault sweep: %s under an unreliable substrate (%s)"
+                    % (guard.name, name))
     report.add_table(
         "Guarded SpillBound vs fault rate (%d locations)" % len(flats),
         ["crash rate", "MSOe", "ASO", "degraded %", "retries/run",
@@ -571,7 +554,7 @@ def fault_sweep(name="2D_Q91", rates=(0.0, 0.05, 0.1, 0.2, 0.4),
     )
     report.add_degradation(
         "Degradation accounting, sample runs at crash rate %g"
-        % rates[-1], worst)
+        % rates[-1], samples)
     return report
 
 

@@ -80,29 +80,54 @@ class SweepResult:
 
 
 class SweepAccumulator:
-    """Order-sensitive fold of per-run accounting into sweep extras.
+    """Order-sensitive fold of per-run outcomes into one sweep result.
 
-    Both the serial sweep below and the parallel backend's parent-side
-    merge (:mod:`repro.session.parallel_sweep`) tally degradation counts,
-    reason histograms and obs-metric snapshots through this one class,
+    The one place that knows what a run adds to a sweep: its
+    sub-optimality, its degradation (count and reason histogram), its
+    obs-metric snapshot, AlignedBound's ``max_penalty`` (a max, present
+    once a run reports one) and its ``spent``, ``retries`` and
+    ``wasted_cost`` (sums, always present). Both the serial sweep below
+    and the parallel backend's parent-side merge
+    (:mod:`repro.session.parallel_sweep`) fold runs through this class,
     *in grid-location order*. That shared path is what makes parallel
-    extras bit-identical to serial ones: counter merges add floats, and
-    float addition is not associative, so the fold order is part of the
-    contract -- not an implementation detail.
+    results bit-identical to serial ones: float addition is not
+    associative, so the fold order is part of the contract -- not an
+    implementation detail.
     """
 
-    __slots__ = ("degraded", "reasons", "obs")
+    __slots__ = ("subopts", "degraded", "reasons", "obs", "max_penalty",
+                 "spent", "retries", "wasted_cost")
 
     def __init__(self):
+        self.subopts = []
         self.degraded = 0
         #: reason -> count, in first-occurrence order (insertion order
         #: is preserved into the extras dict and hence the journal).
         self.reasons = {}
         self.obs = None
+        self.max_penalty = None
+        self.spent = 0.0
+        self.retries = 0
+        self.wasted_cost = 0.0
 
-    def add(self, degraded, reason=None, obs=None):
-        """Fold one run's accounting (its extras distilled to three
-        fields, which is the form worker processes ship back)."""
+    @staticmethod
+    def distil(result):
+        """What one :class:`~repro.algorithms.base.RunResult` adds to a
+        sweep, as the tuple a worker process ships back: ``(sub_optimality,
+        degraded, reason, obs, max_penalty, spent, retries,
+        wasted_cost)``."""
+        extras = result.extras
+        return (result.sub_optimality, bool(extras.get("degraded")),
+                extras.get("degraded_reason"), extras.get("obs"),
+                extras.get("max_penalty"), float(result.total_cost),
+                int(extras.get("retries", 0)),
+                float(extras.get("wasted_cost") or 0.0))
+
+    def add(self, run):
+        """Fold one run, given as :meth:`distil`'s tuple."""
+        (sub, degraded, reason, obs, max_penalty, spent, retries,
+         wasted) = run
+        self.subopts.append(sub)
         if degraded:
             self.degraded += 1
             reason = reason or "unknown"
@@ -111,22 +136,40 @@ class SweepAccumulator:
             if self.obs is None:
                 self.obs = MetricsRegistry()
             self.obs.merge(obs)
-
-    def add_result(self, result):
-        """Fold one :class:`~repro.algorithms.base.RunResult`."""
-        self.add(bool(result.extras.get("degraded")),
-                 result.extras.get("degraded_reason"),
-                 result.extras.get("obs"))
+        if max_penalty is not None:
+            self.max_penalty = max_penalty if self.max_penalty is None \
+                else max(self.max_penalty, max_penalty)
+        self.spent += spent
+        self.retries += retries
+        self.wasted_cost += wasted
 
     def extras(self):
-        """The sweep-level extras dict (both keys always present, so
-        consumers never have to guess whether a missing key means
-        "clean" or "not tracked")."""
+        """The sweep-level extras dict (the degradation tally and the
+        sums always present, so consumers never have to guess whether a
+        missing key means "clean" or "not tracked")."""
         tally = {"degraded": self.degraded,
                  "degraded_reasons": dict(self.reasons)}
+        if self.max_penalty is not None:
+            tally["max_penalty"] = self.max_penalty
+        tally["spent"] = self.spent
+        tally["retries"] = self.retries
+        tally["wasted_cost"] = self.wasted_cost
         if self.obs is not None:
             tally["obs"] = self.obs.snapshot()
         return tally
+
+    def result(self, algorithm, flats, sampled, grid_shape):
+        """The :class:`SweepResult` of the runs folded so far, over the
+        visit list ``flats`` of a grid of shape ``grid_shape``: flat for
+        a sampled sweep, grid-shaped otherwise."""
+        subopts = np.array(self.subopts, dtype=float)
+        if sampled:
+            return SweepResult(algorithm, subopts, (len(flats),),
+                               extras=self.extras(),
+                               sample_flats=list(flats),
+                               grid_shape=tuple(grid_shape))
+        return SweepResult(algorithm, subopts.reshape(grid_shape),
+                           grid_shape, extras=self.extras())
 
 
 def sample_locations(grid, sample, rng):
@@ -167,36 +210,22 @@ def exhaustive_sweep(algorithm, sample=None, rng=None, progress=None,
         Trace sink handed to every run (one stream for the sweep).
 
     Returns a :class:`SweepResult` whose array is grid-shaped for full
-    sweeps and flat for sampled sweeps. Degradation accounting from
-    guarded runs is tallied into ``SweepResult.extras``.
+    sweeps and flat for sampled sweeps. What each run adds to the sweep
+    (degradation, spend, retries, penalties) is folded into
+    ``SweepResult.extras`` by :class:`SweepAccumulator`.
     """
-    space = algorithm.space
-    grid = space.grid
+    grid = algorithm.space.grid
     acc = SweepAccumulator()
-
-    def run_at(index):
-        engine = engine_factory(index) if engine_factory else None
-        result = algorithm.run(index, engine=engine, tracer=tracer)
-        acc.add_result(result)
-        return result.sub_optimality
-
     flats, sampled = sample_locations(grid, sample, rng)
     # One vectorised unravel for the whole visit list instead of a
     # per-location divmod walk (same order, same coordinates).
     coords = np.unravel_index(np.asarray(flats, dtype=np.int64),
                               grid.shape)
     locations = list(zip(*(axis.tolist() for axis in coords)))
-    subopts = np.empty(len(flats))
     for pos, index in enumerate(locations):
-        subopts[pos] = run_at(index)
+        engine = engine_factory(index) if engine_factory else None
+        acc.add(acc.distil(algorithm.run(index, engine=engine,
+                                         tracer=tracer)))
         if progress:
             progress(pos + 1, len(flats))
-    if sampled:
-        return SweepResult(algorithm.name, subopts, (len(flats),),
-                           extras=acc.extras(),
-                           sample_flats=list(flats),
-                           grid_shape=tuple(grid.shape))
-    return SweepResult(
-        algorithm.name, subopts.reshape(grid.shape), grid.shape,
-        extras=acc.extras()
-    )
+    return acc.result(algorithm.name, flats, sampled, grid.shape)

@@ -51,12 +51,9 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-import numpy as np
-
 from repro.catalog.datagen import DatabaseSpec
 from repro.common.errors import DiscoveryError
-from repro.metrics.mso import SweepAccumulator, SweepResult, \
-    sample_locations
+from repro.metrics.mso import SweepAccumulator, sample_locations
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.robustness.durable import CircuitBreaker, Deadline, \
     SweepJournal
@@ -221,9 +218,10 @@ def _run_chunk(task):
     """Execute one chunk of grid locations; return per-location records.
 
     The return value carries everything the parent's in-order merge
-    needs: ``(position, sub_optimality, degraded, reason, obs, charge)``
-    per location, plus this worker's breaker accounting (latest snapshot
-    wins per pid).
+    needs: each location's run distilled by
+    :meth:`~repro.metrics.mso.SweepAccumulator.distil`, in location
+    order, plus this worker's breaker accounting (latest snapshot wins
+    per pid).
     """
     config = _WORKER["config"]
     driver = config["driver"]
@@ -241,17 +239,10 @@ def _run_chunk(task):
     grid = instance.space.grid
     records = []
     try:
-        for pos, flat in task["locs"]:
+        for flat in task["locs"]:
             engine = factory(grid.unflat(int(flat))) if factory else None
-            result = instance.run(grid.unflat(int(flat)), engine=engine,
-                                  tracer=tracer)
-            extras = result.extras
-            charge = float(result.total_cost) \
-                + float(extras.get("wasted_cost") or 0.0)
-            records.append((pos, result.sub_optimality,
-                            bool(extras.get("degraded")),
-                            extras.get("degraded_reason"),
-                            extras.get("obs"), charge))
+            records.append(SweepAccumulator.distil(instance.run(
+                grid.unflat(int(flat)), engine=engine, tracer=tracer)))
     finally:
         tracer.close()
 
@@ -329,19 +320,10 @@ def _merge_unit(plan, name):
     sequence the serial sweep would have produced.
     """
     acc = SweepAccumulator()
-    subopts = np.empty(len(plan.flats))
     for chunk_index in range(plan.chunks):
-        for pos, sub, degraded, reason, obs, _charge \
-                in plan.received[chunk_index]:
-            subopts[pos] = sub
-            acc.add(degraded, reason, obs)
-    if plan.sampled:
-        return SweepResult(name, subopts, (len(plan.flats),),
-                           extras=acc.extras(),
-                           sample_flats=list(plan.flats),
-                           grid_shape=plan.grid_shape)
-    return SweepResult(name, subopts.reshape(plan.grid_shape),
-                       plan.grid_shape, extras=acc.extras())
+        for run in plan.received[chunk_index]:
+            acc.add(run)
+    return acc.result(name, plan.flats, plan.sampled, plan.grid_shape)
 
 
 def _aggregate_traces(driver, plan):
@@ -421,9 +403,8 @@ def parallel_run(driver, queries, algorithms):
         tasks = deque()
         for index, plan in enumerate(plans):
             for chunk_index in range(plan.chunks):
-                locs = [(pos, plan.flats[pos]) for pos in range(
-                    chunk_index * plan.size,
-                    min((chunk_index + 1) * plan.size, len(plan.flats)))]
+                locs = plan.flats[chunk_index * plan.size:
+                                  (chunk_index + 1) * plan.size]
                 tasks.append({"unit": index, "chunk": chunk_index,
                               "locs": locs})
 
@@ -454,8 +435,9 @@ def parallel_run(driver, queries, algorithms):
                 plan.done_locations += len(outcome["records"])
                 breaker_exports[outcome["pid"]] = outcome["breakers"]
                 if deadline is not None:
-                    for *_rest, charge in outcome["records"]:
-                        deadline.charge(charge)
+                    for *_rest, spent, _retries, wasted \
+                            in outcome["records"]:
+                        deadline.charge(spent + wasted)
                 if driver.progress:
                     driver.progress(plan.done_locations, len(plan.flats))
             submit_next(pool)

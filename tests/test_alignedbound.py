@@ -116,15 +116,6 @@ class TestExecution:
         grown = answers(ab)
         assert all(grown[key] is choice for key, choice in memo.items())
 
-    def test_penalty_cap_falls_back_cleanly(self, toy_space_3d,
-                                            toy_contours_3d):
-        """With an impossible penalty cap, induced parts are rejected
-        but singleton/native parts keep the algorithm alive."""
-        ab = AlignedBound(toy_space_3d, toy_contours_3d,
-                          max_penalty=1.0)
-        result = ab.run((4, 4, 4))
-        assert result.executions[-1].completed
-
     def test_no_worse_than_spillbound_aso(self, toy_space_3d,
                                           toy_contours_3d):
         ab_sweep = exhaustive_sweep(

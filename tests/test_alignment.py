@@ -1,11 +1,8 @@
-"""Tests for the contour-alignment analyzer (Table 2 machinery)."""
+"""Tests for AlignedBound's contour-alignment report (Table 2 machinery)."""
 
 import pytest
 
-from repro.algorithms.alignment import (
-    ContourAlignmentReport,
-    analyse_alignment,
-)
+from repro.algorithms.alignedbound import AlignedBound, ContourAlignmentReport
 
 
 class TestReport:
@@ -32,23 +29,15 @@ class TestReport:
 
 class TestAnalysis:
     def test_penalties_at_least_one(self, toy_space, toy_contours):
-        report = analyse_alignment(toy_space, toy_contours)
+        report = AlignedBound(toy_space, toy_contours).alignment()
         assert len(report.penalties) == len(toy_contours)
         assert all(p >= 1.0 - 1e-12 for p in report.penalties)
 
     def test_native_alignment_detected(self, toy_space, toy_contours):
         """At least the degenerate single-plan contours are aligned."""
-        report = analyse_alignment(toy_space, toy_contours)
+        report = AlignedBound(toy_space, toy_contours).alignment()
         assert report.fraction_aligned(1.0) > 0.0
 
-    def test_constrained_probe_only_helps(self, toy_space, toy_contours):
-        with_probe = analyse_alignment(
-            toy_space, toy_contours, use_constrained=True)
-        without = analyse_alignment(
-            toy_space, toy_contours, use_constrained=False)
-        for a, b in zip(with_probe.penalties, without.penalties):
-            assert a <= b + 1e-9
-
     def test_3d_analysis_runs(self, toy_space_3d, toy_contours_3d):
-        report = analyse_alignment(toy_space_3d, toy_contours_3d)
+        report = AlignedBound(toy_space_3d, toy_contours_3d).alignment()
         assert 0.0 <= report.fraction_aligned(2.0) <= 1.0

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.alignedbound import AlignedBound
-from repro.algorithms.alignment import analyse_alignment
 from repro.algorithms.planbouquet import PlanBouquet
 from repro.algorithms.spillbound import SpillBound, spillbound_guarantee
 from repro.catalog.schema import Catalog, Column, Table
@@ -105,8 +104,7 @@ def test_alignedbound_bound_randomised(query):
     sweep = exhaustive_sweep(ab)
     d = query.dimensions
     assert sweep.mso <= d * d + 3 * d + 1e-6
-    alignment = analyse_alignment(space, contours, use_constrained=False)
-    if alignment.fraction_aligned(1.0) == 1.0:
+    if ab.alignment().fraction_aligned(1.0) == 1.0:
         assert sweep.mso <= ab.mso_lower_guarantee() + 1e-6
 
 

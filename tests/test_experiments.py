@@ -65,6 +65,20 @@ class TestTableDrivers:
         assert penalty >= 0.0
 
 
+class TestFaultSweep:
+    def test_guarding_session_guards_once(self):
+        from repro.session import RobustSession, set_default_session
+
+        previous = set_default_session(RobustSession(guard=True))
+        try:
+            report = exp.fault_sweep("2D_Q91", rates=(0.0, 0.2),
+                                     resolution=8, sweep_sample=6)
+        finally:
+            set_default_session(previous)
+        assert report.name == ("Fault sweep: guarded-spillbound under an "
+                               "unreliable substrate (2D_Q91)")
+
+
 class TestOtherDrivers:
     def test_wallclock(self):
         report = exp.wallclock_experiment(

@@ -71,12 +71,20 @@ class TestEquivalence:
             return SweepDriver(_session(guard=True), workers=workers,
                                engine_spec=FAULTY, fault_seed=42)
 
-        serial = _records(driver(None))
-        parallel = _records(driver(4))
+        algorithms = ALGOS + ("alignedbound",)
+        serial = _records(driver(None), algorithms=algorithms)
+        parallel = _records(driver(4), algorithms=algorithms)
         _assert_identical(serial, parallel)
         # The fault stream really degraded runs, so the equality above
         # covered the degradation tallies, not just clean grids.
         assert any(r.sweep.extras["degraded"] > 0 for r in serial)
+        # ... and every folded run total: AlignedBound's penalty and the
+        # spend, retry and waste sums.
+        extras = serial[-1].sweep.extras
+        assert extras["max_penalty"] >= 1.0
+        assert extras["spent"] > 0.0
+        assert extras["retries"] > 0
+        assert extras["wasted_cost"] > 0.0
 
     def test_sampled_sweep_is_bit_identical(self):
         def driver(workers):
