@@ -25,11 +25,11 @@ partition travels with the steps for the ``psa-partition`` event and the
 
 Replacement plans come from the POSP plan universe plus a constrained
 optimizer call ("cheapest plan spilling on e_j"), mirroring the engine
-hook described in §6.1. The universe is the plans the build registered:
-plans that other probes registered into the shared space (earlier runs',
-or earlier parts' of this run) are not candidates, so an answer never
-depends on what ran before
-(:meth:`AlignedBound.cheapest_spilling_plan`).
+hook described in §6.1 (:meth:`AlignedBound.cheapest_spilling_plan`).
+The probe goes through the space's memo,
+:meth:`~repro.ess.space.ExplorationSpace.probe_plan`, which never grows
+the universe and names each probe plan by its signature, so no answer
+or record depends on what ran before.
 
 Table 2's contour alignment (paper §3.3) is the same PSA test with the
 whole EPP set as one part: :meth:`AlignedBound.alignment` reads it off
@@ -85,11 +85,6 @@ class AlignedBound(SpillBound):
     """SpillBound with (induced) predicate-set alignment."""
 
     name = "alignedbound"
-
-    def __init__(self, space, contours=None):
-        super().__init__(space, contours)
-        #: Constrained-probe plan ids per ``(location, epp)``.
-        self._constrained_cache = {}
 
     def mso_lower_guarantee(self):
         """Theorem 5.1: ``2D + 2`` when alignment holds at every contour.
@@ -235,21 +230,17 @@ class AlignedBound(SpillBound):
     def cheapest_spilling_plan(self, coords, epp, remaining_key):
         """Cheapest plan spilling on ``epp`` at some location of ``coords``.
 
-        The candidates are those of paper §5.2.1: the plans the space's
-        build registered (the POSP universe) plus one constrained-optimizer
-        probe -- the cheapest plan spilling on ``epp`` -- at the location
-        of ``coords`` with the cheapest optimal cost. A probe registers
-        its plan into the shared space, but plans that other probes
-        registered are never candidates, so the answer does not depend on
-        which runs came before. A plan spills on the epp it targets among
-        ``remaining_key``; probe plan ids are memoized per ``(location,
-        epp)``. Returns ``(cost, plan, location)``, or ``None`` when no
-        candidate spills on ``epp``.
+        The candidates are those of paper §5.2.1: the space's POSP plans
+        plus one constrained-optimizer probe -- the cheapest plan
+        spilling on ``epp`` -- at the location of ``coords`` with the
+        cheapest optimal cost. A plan spills on the epp it targets among
+        ``remaining_key``. Returns ``(cost, plan, location)``, or
+        ``None`` when no candidate spills on ``epp``.
         """
         space = self.space
         best = None
-        for plan in space.built_plans:
-            if self._spill_target(plan.id, remaining_key) != epp:
+        for plan in space.plans:
+            if self._spill_target(plan, remaining_key) != epp:
                 continue
             costs = plan.cost[tuple(coords.T)]
             pick = int(np.argmin(costs))
@@ -258,15 +249,9 @@ class AlignedBound(SpillBound):
                 best = (cost, plan, tuple(int(c) for c in coords[pick]))
         opt_costs = space.opt_cost[tuple(coords.T)]
         location = tuple(int(c) for c in coords[int(np.argmin(opt_costs))])
-        key = (location, epp)
-        if key not in self._constrained_cache:
-            result = space.optimize_at(location, spilling_on=epp)
-            self._constrained_cache[key] = \
-                space.register_plan(result.plan).id if result else None
-        plan_id = self._constrained_cache[key]
-        if plan_id is not None \
-                and self._spill_target(plan_id, remaining_key) == epp:
-            plan = space.plans[plan_id]
+        plan = space.probe_plan(location, epp)
+        if plan is not None \
+                and self._spill_target(plan, remaining_key) == epp:
             cost = float(plan.cost[location])
             if best is None or cost < best[0]:
                 best = (cost, plan, location)

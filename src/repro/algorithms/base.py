@@ -122,43 +122,49 @@ class RunResult:
         )
 
 
-def engine_label(engine):
-    """Execution-substrate label for obs traces.
+def engine_layers(engine):
+    """Each layer of an engine wrapper chain, outermost first.
 
-    Walks the engine wrapper chain (``FaultyEngine.base``,
-    ``DeadlineEngine.engine``) to the first layer that declares a
-    ``backend_name`` -- the IR backend contract's substrate name. A
-    bare ``None`` engine (cost-model table lookup) and simulated-family
-    engines both report ``"simulated"``.
+    A proxy's own wrapped ``engine`` (``DeadlineEngine``,
+    ``LatencyEngine``) is read before ``base`` (``FaultyEngine``): a
+    proxy's ``__getattr__`` answers ``base`` from the layer it wraps,
+    which would skip that layer.
     """
     seen = set()
     while engine is not None and id(engine) not in seen:
         seen.add(id(engine))
-        name = getattr(engine, "backend_name", None)
+        yield engine
+        engine = getattr(engine, "engine", None) \
+            or getattr(engine, "base", None)
+
+
+def engine_label(engine):
+    """Execution-substrate label for obs traces.
+
+    The first layer of :func:`engine_layers` that declares a
+    ``backend_name`` -- the IR backend contract's substrate name. A
+    bare ``None`` engine (cost-model table lookup) and simulated-family
+    engines both report ``"simulated"``.
+    """
+    for layer in engine_layers(engine):
+        name = getattr(layer, "backend_name", None)
         if name is not None:
             return name
-        engine = getattr(engine, "base", None) \
-            or getattr(engine, "engine", None)
     return "simulated"
 
 
 def begin_traced_run(tracer, name, qa_index, engine):
     """Open a traced run's bracket and hand ``tracer`` to its engines.
 
-    Engines delegate to wrapped inner engines (``FaultyEngine.base``,
-    ``DeadlineEngine.engine``); every layer that can emit events gets
-    the run's sink. Slotted wrappers without a ``tracer`` slot are
-    skipped silently.
+    Every layer of :func:`engine_layers` that can emit events gets the
+    run's sink. Slotted wrappers without a ``tracer`` slot are skipped
+    silently.
     """
-    layer, seen = engine, set()
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
+    for layer in engine_layers(engine):
         try:
             layer.tracer = tracer
         except AttributeError:
             pass
-        layer = getattr(layer, "base", None) \
-            or getattr(layer, "engine", None)
     tracer.begin_run(name, qa_index, engine=engine_label(engine))
 
 

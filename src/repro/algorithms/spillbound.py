@@ -132,7 +132,8 @@ class SpillBound(RobustAlgorithm):
         """The epp each member's plan spills on (``None`` when it spills
         on none), as an object array; each distinct plan is asked once."""
         plan_ids, inverse = np.unique(members.plan_ids, return_inverse=True)
-        return np.array([self._spill_target(int(pid), remaining_key)
+        plans = self.space.plans
+        return np.array([self._spill_target(plans[pid], remaining_key)
                          for pid in plan_ids], dtype=object)[inverse]
 
     def _choose_spill_plan(self, members, spilling, epp, remaining_key):
@@ -155,9 +156,9 @@ class SpillBound(RobustAlgorithm):
         target = plan.spill_target(remaining_key)
         return plan, target[1]
 
-    def _spill_target(self, plan_id, remaining_key):
-        key = (plan_id, remaining_key)
+    def _spill_target(self, plan, remaining_key):
+        key = (plan.id, remaining_key)
         if key not in self._target_cache:
-            target = self.space.plans[plan_id].spill_target(remaining_key)
+            target = plan.spill_target(remaining_key)
             self._target_cache[key] = target[0] if target else None
         return self._target_cache[key]

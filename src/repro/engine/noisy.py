@@ -63,11 +63,11 @@ class NoisyEngine(SimulatedEngine):
         """Oracle cost under the perturbed model: the cheapest *actual*
         (noisy) cost any POSP plan achieves at the truth. Noise can
         reshuffle which plan that is, so the minimum is over every plan
-        the build registered (never over plans later runs added).
+        of the space.
         """
         return min(
             float(info.cost[self.qa_index]) * self._noise(info.id)
-            for info in self.space.built_plans
+            for info in self.space.plans
         )
 
     def _allowance(self, budget):

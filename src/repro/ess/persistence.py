@@ -169,8 +169,5 @@ def load_space(query, path):
         assert info is not None
     space.plan_at = plan_at
     space.opt_cost = opt_cost
-    # The restored surface already folds every plan; mark them consumed
-    # so a later incremental refresh only folds newly registered ones.
-    space._surface_count = len(space.plans)
     space.built = True
     return space

@@ -24,12 +24,11 @@ the only approximation risk of ``fast`` is missing a plan whose
 optimality region evaded both seeding and validation probes.
 """
 
-import threading
-from collections import OrderedDict
+import zlib
 
 import numpy as np
 
-from repro.common.errors import OptimizerError
+from repro.common.errors import DiscoveryError, OptimizerError
 from repro.common.rng import make_rng
 from repro.cost.kernel import GridKernel
 from repro.cost.model import CostModel
@@ -44,8 +43,12 @@ from repro.plans.nodes import JOIN_LIKE
 #: otherwise dominate the whole build beyond a few more dimensions.
 MAX_CORNER_SEEDS = 64
 
-#: Cap on memoized per-location optimizer results (kernel mode).
-DP_MEMO_CAP = 8192
+#: Exact-DP validation probes per round of a fast build.
+VALIDATE_PROBES = 96
+
+#: Validation rounds after which a fast build stops even if the last
+#: round still found a better plan.
+MAX_VALIDATE_ROUNDS = 12
 
 
 def seed_indices(grid, count, rng, corners=True):
@@ -76,7 +79,9 @@ class PlanInfo:
     Attributes
     ----------
     id:
-        Dense integer id within the owning space.
+        Dense integer id for the owning space's POSP plans (its index
+        in ``plans``); a probe plan's id is derived from its signature
+        (:meth:`ExplorationSpace.probe_plan`).
     tree:
         Finalised plan tree.
     cost:
@@ -136,13 +141,14 @@ class ExplorationSpace:
                 resolution = default_resolution(query.dimensions)
             grid = SelectivityGrid(query.dimensions, resolution, s_min=s_min)
         self.grid = grid
+        #: The POSP universe: every plan the build (or an archive load)
+        #: registered, in registration order. Fixed once ``built``.
         self.plans = []
         self._signatures = {}
-        #: Held from the signature check through the insert, so threads
-        #: probing one shared space (the serve daemon's compute pool)
-        #: never register a plan twice. Spaces reach worker processes by
-        #: fork or by a rebuild, never by pickle.
-        self._register_lock = threading.Lock()
+        #: :meth:`probe_plan`'s answer per ``(location, epp)``.
+        self._probes = {}
+        #: Probe plans outside ``plans``, by their signature-derived id.
+        self._probe_plans = {}
         self._flat_meshes = None
         self.plan_at = None
         self.opt_cost = None
@@ -158,9 +164,6 @@ class ExplorationSpace:
         #: Number of leading plans already folded into the surface
         #: (incremental ``_refresh_surface`` bookkeeping).
         self._surface_count = 0
-        #: Memoized per-location optimizer results, shared by every
-        #: algorithm instance over this space (kernel mode only).
-        self._dp_memo = OrderedDict()
 
     @property
     def kernel(self):
@@ -204,69 +207,83 @@ class ExplorationSpace:
 
         ``cost=None`` computes the surface via vectorised costing; a
         provided array (e.g. from a persisted archive) is trusted
-        verbatim, skipping the cost model entirely.
+        verbatim, skipping the cost model entirely. A built space's
+        plans are fixed: a new plan raises :class:`DiscoveryError`.
         """
         signature = tree.signature()
-        with self._register_lock:
-            if signature in self._signatures:
-                return self._signatures[signature]
-            if cost is None:
-                kernel = self.kernel
-                if kernel is not None:
-                    cost = kernel.plan_surface(tree)
-                else:
-                    cost = np.asarray(
-                        self.cost_model.cost(tree, self._grid_assignment())
-                    ).reshape(self.grid.shape)
-            else:
-                cost = np.asarray(cost, dtype=float).reshape(self.grid.shape)
-            spill_order = []
-            for name, node in epp_total_order(tree, self.query.epps):
-                subtree_epps = set()
-                for member in node.walk():
-                    if isinstance(member, JOIN_LIKE):
-                        subtree_epps.update(member.predicate_names)
-                subtree_epps &= set(self.query.epps)
-                spill_order.append((name, node, frozenset(subtree_epps)))
-            info = PlanInfo(len(self.plans), tree, cost, spill_order)
+        if signature not in self._signatures:
+            if self.built:
+                raise DiscoveryError(
+                    "a built space's plan universe is fixed")
+            info = self._plan_info(len(self.plans), tree, cost)
             self.plans.append(info)
             self._signatures[signature] = info
-            return info
+        return self._signatures[signature]
 
-    @property
-    def built_plans(self):
-        """The plans the build registered -- the POSP universe.
+    def _plan_info(self, plan_id, tree, cost):
+        """A :class:`PlanInfo` for ``tree``, costing its surface unless
+        ``cost`` is given."""
+        if cost is None:
+            kernel = self.kernel
+            if kernel is not None:
+                cost = kernel.plan_surface(tree)
+            else:
+                cost = np.asarray(
+                    self.cost_model.cost(tree, self._grid_assignment())
+                ).reshape(self.grid.shape)
+        else:
+            cost = np.asarray(cost, dtype=float).reshape(self.grid.shape)
+        spill_order = []
+        for name, node in epp_total_order(tree, self.query.epps):
+            subtree_epps = set()
+            for member in node.walk():
+                if isinstance(member, JOIN_LIKE):
+                    subtree_epps.update(member.predicate_names)
+            subtree_epps &= set(self.query.epps)
+            spill_order.append((name, node, frozenset(subtree_epps)))
+        return PlanInfo(plan_id, tree, cost, spill_order)
 
-        Plans registered after the build (AlignedBound's constrained
-        probes) are excluded: they accumulate in the shared space with
-        every run, so a search over them would depend on which runs
-        came before.
+    def probe_plan(self, location, epp):
+        """The cheapest plan spilling on ``epp`` at grid ``location``
+        (the constrained optimizer call of paper §6.1), or ``None``.
+
+        The DP runs once per ``(location, epp)`` per space. A plan the
+        build registered comes back as itself; any other plan is kept
+        outside ``plans``, one :class:`PlanInfo` per signature, so its
+        surface is costed once per space. Its id is ``len(plans)`` plus
+        the CRC32 of its signature: a pure function of the plan, so no
+        answer, record or trace depends on which probes ran before.
+        Two probe plans sharing an id would alias in the id-keyed
+        caches (the kernel's subtree surfaces, SpillBound's spill
+        targets), so that raises :class:`DiscoveryError`.
         """
-        return self.plans[:self._surface_count]
+        key = (tuple(int(i) for i in location), epp)
+        if key not in self._probes:
+            result = self.optimize_at(key[0], spilling_on=epp)
+            self._probes.setdefault(key, None if result is None
+                                    else self._probe_info(result.plan))
+        return self._probes[key]
+
+    def _probe_info(self, tree):
+        signature = tree.signature()
+        built = self._signatures.get(signature)
+        if built is not None:
+            return built
+        plan_id = len(self.plans) \
+            + zlib.crc32(repr(signature).encode("utf-8"))
+        info = self._probe_plans.get(plan_id)
+        if info is None:
+            info = self._probe_plans.setdefault(
+                plan_id, self._plan_info(plan_id, tree, None))
+        if info.tree.signature() != signature:
+            raise DiscoveryError(
+                "probe plans %r and %r share id %d"
+                % (signature, info.tree.signature(), plan_id))
+        return info
 
     def optimize_at(self, index, spilling_on=None):
-        """Exact DP call at a grid index; returns an :class:`OptimizedPlan`.
-
-        In kernel mode results are memoized per ``(index, spilling_on)``
-        and shared across every algorithm instance on this space, so
-        e.g. AlignedBound's constrained probes are paid once per sweep
-        unit family instead of once per instance. The optimizer is
-        deterministic per assignment, so memoization never changes an
-        outcome.
-        """
-        if not self.kernel_enabled:
-            return self._optimize_uncached(index, spilling_on)
-        key = (tuple(int(i) for i in index), spilling_on)
-        if key in self._dp_memo:
-            self._dp_memo.move_to_end(key)
-            return self._dp_memo[key]
-        result = self._optimize_uncached(index, spilling_on)
-        self._dp_memo[key] = result
-        while len(self._dp_memo) > DP_MEMO_CAP:
-            self._dp_memo.popitem(last=False)
-        return result
-
-    def _optimize_uncached(self, index, spilling_on):
+        """Exact DP call at a grid index; returns an :class:`OptimizedPlan`
+        (``None`` when no plan spills on ``spilling_on``)."""
         assignment = self.assignment_at(index)
         if spilling_on is None:
             return self.optimizer.optimize(assignment)
@@ -275,13 +292,12 @@ class ExplorationSpace:
     # ------------------------------------------------------------------
     # build
 
-    def build(self, mode="fast", sample=None, validate=96, rng=0,
-              max_rounds=12):
+    def build(self, mode="fast", rng=0):
         """Materialise ``plan_at`` and ``opt_cost``; returns ``self``."""
         if mode == "exact":
             self._build_exact()
         elif mode == "fast":
-            self._build_fast(sample, validate, make_rng(rng), max_rounds)
+            self._build_fast(make_rng(rng))
         else:
             raise OptimizerError("unknown build mode %r" % mode)
         self.built = True
@@ -301,11 +317,9 @@ class ExplorationSpace:
                 self.register_plan(self.optimize_at(index).plan)
         self._refresh_surface()
 
-    def _build_fast(self, sample, validate, rng, max_rounds):
+    def _build_fast(self, rng):
         grid = self.grid
-        if sample is None:
-            sample = min(max(64, grid.size // 16), 768)
-        seeds = self._seed_indices(sample, rng)
+        seeds = self._seed_indices(min(max(64, grid.size // 16), 768), rng)
         # Per-build DP resolution memo: the DP is deterministic per
         # assignment and register_plan dedups by signature, so batching
         # only the not-yet-resolved indices -- duplicates within a draw,
@@ -342,8 +356,8 @@ class ExplorationSpace:
         # draws the same probes and batches the DP; the acceptance test
         # compares the same floats, so both paths register the same
         # plans in the same order.
-        for _round in range(max_rounds):
-            probes = self._seed_indices(validate, rng, corners=False)
+        for _round in range(MAX_VALIDATE_ROUNDS):
+            probes = self._seed_indices(VALIDATE_PROBES, rng, corners=False)
             grew = False
             if self.kernel_enabled:
                 _resolve(probes)
@@ -409,10 +423,6 @@ class ExplorationSpace:
 
     # ------------------------------------------------------------------
     # lookups
-
-    def plan_cost(self, plan_id, index):
-        """Cost of plan ``plan_id`` at grid index tuple ``index``."""
-        return float(self.plans[plan_id].cost[index])
 
     def optimal_cost(self, index):
         """Optimal (oracle) cost at a grid index tuple."""

@@ -158,21 +158,13 @@ class SyntheticSpace:
             for d, name in enumerate(self.query.epps)
         }
 
-    def plan_cost(self, plan_id, index):
-        return float(self.plans[plan_id].cost[index])
-
     def optimal_cost(self, index):
         return float(self.opt_cost[index])
 
     def optimal_plan(self, index):
         return self.plans[int(self.plan_at[index])]
 
-    @property
-    def built_plans(self):
-        """Every plan: synthetic spaces never grow after the build."""
-        return self.plans
-
-    def optimize_at(self, index, spilling_on=None):
+    def probe_plan(self, location, epp):
         """Constrained optimizer hook: synthetic spaces cannot invent
         new plans, so induced-alignment probes come up empty."""
         return None
@@ -191,7 +183,7 @@ class SyntheticSpace:
             slice(None) if d == dim else int(qa_index[d])
             for d in range(self.grid.dims)
         )
-        return node.fraction * self.plans[plan_info.id].cost[slicer]
+        return node.fraction * plan_info.cost[slicer]
 
     @property
     def c_min(self):

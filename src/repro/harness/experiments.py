@@ -205,8 +205,8 @@ def table3_trace(name="4D_Q91", resolution=None, qa_index=None,
             learnt[record.epp] = float(
                 space.grid.values[dim][record.learned]
             ) * 100.0
-        plan = space.plans[record.plan_id]
-        tag = ("p%s" if record.mode == "spill" else "P%s") % (plan.id + 1)
+        tag = ("p%s" if record.mode == "spill" else "P%s") \
+            % (record.plan_id + 1)
         rows.append((
             record.contour + 1,
             record.epp or "-",

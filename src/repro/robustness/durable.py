@@ -617,16 +617,30 @@ class SweepJournal:
     def _replay(self):
         """Rebuild committed/in-flight state from the segments on disk.
 
-        The final record of the final segment may be torn (a SIGKILL
-        mid-append); it is physically truncated away so appends resume
-        on a clean boundary. Damage anywhere else is *corruption* and
-        refuses to load.
+        A torn final record is physically truncated away so appends
+        resume on a clean boundary (:meth:`_decoded`).
         """
         segments = self._segments()
         self.stats.resumed_segments = len(segments)
         self.committed = {}
         begun = {}
-        order = 0
+        for order, (index, payload) in enumerate(
+                self._decoded(segments, truncate=True), 1):
+            self._apply(payload, index, order, begun)
+        self.inflight = [unit for unit in begun
+                         if unit not in self.committed]
+        if segments:
+            self._rotate(segments[-1][0])
+
+    def _decoded(self, segments, truncate):
+        """Yield ``(segment index, payload)`` for every record of
+        ``segments``, in append order.
+
+        The final record of the final segment may be torn (a SIGKILL
+        mid-append): it ends the stream, truncated off the file when
+        ``truncate`` and skipped otherwise. Damage anywhere else is
+        *corruption* and raises :class:`JournalError`.
+        """
         for pos, (index, path) in enumerate(segments):
             last = pos == len(segments) - 1
             with open(path, "rb") as handle:
@@ -634,28 +648,22 @@ class SweepJournal:
             lines = raw.decode("utf-8", "surrogateescape") \
                        .splitlines(keepends=True)
             offset = 0
-            records = []
             for lpos, line in enumerate(lines):
                 try:
                     if not line.endswith("\n"):
                         raise ValueError("unterminated record")
-                    records.append(decode_record(line))
+                    payload = decode_record(line)
                 except ValueError as exc:
                     if last and lpos == len(lines) - 1:
-                        self._truncate(path, offset)
-                        self.stats.truncated_records += 1
-                        break
+                        if truncate:
+                            self._truncate(path, offset)
+                            self.stats.truncated_records += 1
+                        return
                     raise JournalError(
                         "corrupt record in %s at byte %d: %s"
                         % (path, offset, exc)) from None
+                yield index, payload
                 offset += len(line.encode("utf-8", "surrogateescape"))
-            for payload in records:
-                order += 1
-                self._apply(payload, index, order, begun)
-        self.inflight = [unit for unit in begun
-                         if unit not in self.committed]
-        if segments:
-            self._rotate(segments[-1][0])
 
     def _truncate(self, path, offset):
         with open(path, "r+b") as handle:
@@ -721,25 +729,8 @@ class SweepJournal:
         *skipped* here (not truncated) so observers never mutate the
         journal a writer may still be appending to.
         """
-        out = []
-        segments = self._segments()
-        for pos, (_index, path) in enumerate(segments):
-            last = pos == len(segments) - 1
-            with open(path, "r", encoding="utf-8",
-                      errors="surrogateescape") as handle:
-                lines = handle.readlines()
-            for lpos, line in enumerate(lines):
-                try:
-                    if not line.endswith("\n"):
-                        raise ValueError("unterminated record")
-                    out.append(decode_record(line))
-                except ValueError as exc:
-                    if last and lpos == len(lines) - 1:
-                        break
-                    raise JournalError(
-                        "corrupt record in %s: %s" % (path, exc)) \
-                        from None
-        return out
+        return [payload for _index, payload
+                in self._decoded(self._segments(), truncate=False)]
 
     def __repr__(self):
         return "SweepJournal(%r, %d committed, %d inflight)" % (

@@ -30,7 +30,7 @@ wrapped algorithm performs exactly the same executions it would have
 performed unguarded.
 """
 
-from repro.algorithms.base import RobustAlgorithm
+from repro.algorithms.base import RobustAlgorithm, engine_layers
 from repro.algorithms.native import NativeOptimizer
 from repro.common.errors import (
     DeadlineExceededError,
@@ -436,9 +436,8 @@ class DiscoveryGuard(RobustAlgorithm):
     @staticmethod
     def _engine_delta(engine):
         """Declared cost-model error allowance of the environment."""
-        if engine is None:
-            return 0.0
-        delta = getattr(engine, "delta", None)
-        if delta is None:
-            delta = getattr(getattr(engine, "base", None), "delta", None)
-        return float(delta or 0.0)
+        for layer in engine_layers(engine):
+            delta = getattr(layer, "delta", None)
+            if delta is not None:
+                return float(delta)
+        return 0.0

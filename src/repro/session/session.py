@@ -233,8 +233,10 @@ class RobustSession:
         wrapped in a :class:`DiscoveryGuard`; ``deadline=`` and
         ``breaker=`` attach durability watchdogs to that guard (and
         imply a default one when the session has none). A session-level
-        :class:`BreakerBoard` supplies the per-engine breaker when no
-        explicit one is given.
+        :class:`BreakerBoard` supplies the per-engine breaker when
+        neither ``guard=`` nor ``breaker=`` is given, so an explicit
+        ``guard=False`` returns the bare instance and an explicit policy
+        gets only the watchdogs it is handed.
         """
         instance = None
         if not isinstance(algorithm, (str, type)):
@@ -262,7 +264,7 @@ class RobustSession:
         policy = self.guard_policy if guard is None else guard
         if policy is True:
             policy = RetryPolicy()
-        if breaker is None and self.breakers is not None:
+        if breaker is None and guard is None and self.breakers is not None:
             breaker = self.breakers.breaker_for(self.engine_spec)
         if not policy and (deadline is not None or breaker is not None):
             # Watchdogs live on the guard; requesting one implies it.

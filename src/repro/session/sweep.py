@@ -234,7 +234,7 @@ class SweepDriver:
         """Cross-unit reuse counters of the session's artifact cache.
 
         Sweep units sharing a query share one space (and therefore one
-        DP memo and one subtree-tensor cache) and one contour set per
+        probe table and one subtree-tensor cache) and one contour set per
         ratio (one contour-slice cache). These counters say how many
         space and contour lookups that sharing served without a build.
         """

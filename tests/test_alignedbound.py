@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms.alignedbound import AlignedBound, _set_partitions
@@ -128,17 +129,18 @@ class TestExecution:
 
 
 class TestSessionHistory:
-    """Constrained probes register plans into the shared, cached space;
-    an answer must not depend on which runs registered them first."""
+    """Constrained probes never grow the shared, cached space and name
+    each probe plan by its signature, so no answer, record, trace or
+    archive depends on which runs came first."""
 
     QUERY, RESOLUTION = "4D_Q91", 5
+    NOISY = "simulated+noisy(delta=0.3,seed=5)"
 
     def _run(self, session, qa):
         result = session.run(self.QUERY, qa, algorithm="alignedbound",
                              resolution=self.RESOLUTION)
-        return (result.total_cost, result.num_executions,
-                [(r.contour, r.mode, r.epp, r.budget, r.spent)
-                 for r in result.executions])
+        return (result.total_cost, result.extras,
+                [record.as_event() for record in result.executions])
 
     def test_earlier_run_does_not_change_an_answer(self):
         from repro.session import RobustSession
@@ -147,10 +149,80 @@ class TestSessionHistory:
         warm = RobustSession()
         space, _ = warm.space_and_contours(self.QUERY,
                                            resolution=self.RESOLUTION)
-        built = len(space.plans)
+        plans = list(space.plans)
         self._run(warm, (4, 0, 2, 0))
-        # The earlier run's probes did grow the shared space ...
-        assert len(space.plans) > built
-        # ... but the later answer is the fresh session's, bit for bit.
+        # The earlier run probed, but the universe did not grow ...
+        assert space.plans == plans
+        assert space._probes
+        # ... and the later run is the fresh session's, record for record.
         assert self._run(warm, (4, 3, 0, 0)) == fresh
-        assert len(space.built_plans) == built
+
+    def test_noisy_answer_independent_of_session_history(self):
+        """Noise is seeded by plan id, so a probe plan's id must not
+        depend on what the session probed before."""
+        from repro.session import RobustSession
+
+        fresh = self._run(RobustSession(engine_spec=self.NOISY),
+                          (4, 1, 0, 4))
+        warm = RobustSession(engine_spec=self.NOISY)
+        self._run(warm, (3, 0, 0, 0))
+        assert self._run(warm, (4, 1, 0, 4)) == fresh
+        built = len(warm.space(self.QUERY, resolution=self.RESOLUTION).plans)
+        assert any(event["plan_id"] >= built for event in fresh[2])
+
+    def test_probe_plan_id_independent_of_probe_order(self):
+        from repro.session import RobustSession
+
+        def probe_ids(keys):
+            space = RobustSession().space(self.QUERY,
+                                          resolution=self.RESOLUTION)
+            plans = {key: space.probe_plan(*key) for key in keys}
+            return {key: plan.id for key, plan in plans.items()
+                    if plan is not None and plan.id >= len(space.plans)}
+
+        space = RobustSession().space(self.QUERY,
+                                      resolution=self.RESOLUTION)
+        keys = [(location, epp)
+                for location in [(4, 4, 0, 0), (0, 4, 4, 0), (4, 0, 0, 4),
+                                 (2, 2, 2, 2), (4, 4, 4, 4)]
+                for epp in space.query.epps]
+        forward = probe_ids(keys)
+        assert len(set(forward.values())) >= 2
+        assert probe_ids(keys[::-1]) == forward
+
+    def test_noisy_parallel_sweep_equals_serial(self):
+        from repro.harness.workloads import workload
+        from repro.session import RobustSession, SweepDriver
+
+        def sweep(workers):
+            driver = SweepDriver(RobustSession(),
+                                 resolution=self.RESOLUTION,
+                                 engine_spec=self.NOISY, workers=workers)
+            (record,) = driver.run([workload(self.QUERY)], ["alignedbound"])
+            extras = dict(record.sweep.extras)
+            extras.pop("obs", None)
+            return record.sweep.sub_optimalities.tolist(), extras
+
+        assert sweep(2) == sweep(None)
+
+    def test_saved_space_after_a_sweep_loads_the_same_answers(
+            self, tmp_path):
+        from repro.ess.contours import ContourSet
+        from repro.ess.persistence import load_space, save_space
+        from repro.harness.workloads import workload
+        from repro.metrics.mso import exhaustive_sweep
+        from repro.session import RobustSession
+
+        session = RobustSession()
+        space, contours = session.space_and_contours(
+            self.QUERY, resolution=self.RESOLUTION)
+        built = len(space.plans)
+        swept = exhaustive_sweep(AlignedBound(space, contours))
+        path = str(tmp_path / "space.npz")
+        save_space(space, path)
+        loaded = load_space(workload(self.QUERY), path)
+        assert len(loaded.plans) == len(space.plans) == built
+        again = exhaustive_sweep(AlignedBound(loaded, ContourSet(loaded)))
+        assert again.sub_optimalities.size == 625
+        assert np.array_equal(again.sub_optimalities,
+                              swept.sub_optimalities)

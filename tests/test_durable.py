@@ -258,6 +258,40 @@ class TestDeadlineEngine:
         with pytest.raises(DeadlineExceededError):
             metered.execute(toy_space.plans[0], budget=1.0)
 
+    NOISY_FAULTY = ("simulated+noisy(delta=0.3,seed=1)"
+                    "+faulty(crash=0.3,transient=0.3,seed=3)")
+
+    def _fault_and_retry_events(self, deadline):
+        from repro.obs.tracer import Tracer
+
+        session = RobustSession(resolution=8, engine_spec=self.NOISY_FAULTY)
+        guard = session.algorithm("spillbound", query="2D_Q91", guard=True,
+                                  deadline=deadline)
+        tracer = Tracer()
+        guard.run((6, 6), engine=session.engine(guard.space, (6, 6)),
+                  tracer=tracer)
+        kinds = [record["type"] for record in tracer.records]
+        return kinds.count("fault"), kinds.count("retry")
+
+    def test_proxy_keeps_the_wrapped_fault_layer_traced(self):
+        """The deadline proxy answers ``base`` from the FaultyEngine it
+        wraps; the traced walk must still reach that layer."""
+        plain = self._fault_and_retry_events(None)
+        assert plain[1] > 0 and plain[0] == plain[1]
+        deadline = Deadline(cost_limit=1e18, clock=lambda: 0.0)
+        assert self._fault_and_retry_events(deadline) == plain
+
+    def test_engine_layers_visit_every_wrapper(self, toy_space):
+        from repro.algorithms.base import engine_label, engine_layers
+        from repro.engine.noisy import NoisyEngine
+
+        noisy = NoisyEngine(toy_space, (3, 7), delta=0.3)
+        faulty = FaultyEngine(toy_space, (3, 7), base=noisy)
+        metered = DeadlineEngine(faulty, Deadline(cost_limit=1e18))
+        assert list(engine_layers(metered)) == [metered, faulty, noisy]
+        assert DiscoveryGuard._engine_delta(metered) == 0.3
+        assert engine_label(metered) == "simulated"
+
 
 # ----------------------------------------------------------------------
 # circuit breaker

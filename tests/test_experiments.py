@@ -78,6 +78,33 @@ class TestFaultSweep:
         assert report.name == ("Fault sweep: guarded-spillbound under an "
                                "unreliable substrate (2D_Q91)")
 
+    def test_breaker_board_session_reads_like_a_plain_one(self):
+        """A session's BreakerBoard is keyed by the session's spec, not
+        the sweep's faulty one: sharing it across rate rows would let a
+        breaker tripped at one rate fast-fail runs at the next."""
+        from repro.session import RobustSession, set_default_session
+
+        def rows(session):
+            previous = set_default_session(session)
+            try:
+                report = exp.fault_sweep("2D_Q91", rates=(0.4, 0.0),
+                                         resolution=8, sweep_sample=12)
+            finally:
+                set_default_session(previous)
+            return report.tables[0][2]
+
+        plain = rows(RobustSession())
+        assert plain[1][3] == 0.0  # nothing degrades at rate 0
+        assert rows(RobustSession(breaker=True)) == plain
+
+    def test_explicit_guard_false_opts_out_of_the_board(self):
+        from repro.session import RobustSession
+
+        session = RobustSession(breaker=True)
+        algorithm = session.algorithm("spillbound", query="2D_Q91",
+                                      resolution=6, guard=False)
+        assert algorithm.name == "spillbound"
+
 
 class TestOtherDrivers:
     def test_wallclock(self):

@@ -23,7 +23,7 @@ from repro.ess.space import (
     seed_indices,
 )
 from repro.ess.synthetic import textbook_space
-from repro.harness.workloads import q15
+from repro.harness.workloads import q15, workload
 from repro.optimizer.dp import Optimizer
 from repro.session.session import RobustSession
 from repro.session.sweep import SweepDriver
@@ -234,17 +234,32 @@ def test_contour_members_unchanged_by_sharing():
 
 
 # ----------------------------------------------------------------------
-# reuse within a space and a sweep (DP memo, driver artifact memo)
+# reuse within a space and a sweep (probe table, driver artifact memo)
 
 
-def test_dp_memo_shared_across_algorithm_instances():
-    query = q15(epps=("cs_c", "c_ca"))
-    space = ExplorationSpace(query, resolution=5).build(mode="fast")
-    index = (2, 3)
-    first = space.optimize_at(index)
-    assert space.optimize_at(index) is first
-    constrained = space.optimize_at(index, spilling_on="cs_c")
-    assert space.optimize_at(index, spilling_on="cs_c") is constrained
+def test_dp_memo_shared_across_algorithm_instances(monkeypatch):
+    """A second AlignedBound instance over a space reuses the space's
+    probe plans: no constrained DP call reruns."""
+    from repro.algorithms.alignedbound import AlignedBound
+
+    space = ExplorationSpace(workload("2D_Q91"), resolution=6)
+    space.build(mode="fast")
+    contours = ContourSet(space)
+    first = [AlignedBound(space, contours).run(qa).total_cost
+             for qa in space.grid.indices()]
+    assert space._probe_plans
+    calls = []
+    optimize_at = ExplorationSpace.optimize_at
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return optimize_at(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExplorationSpace, "optimize_at", counted)
+    again = [AlignedBound(space, contours).run(qa).total_cost
+             for qa in space.grid.indices()]
+    assert again == first
+    assert calls == []
 
 
 def test_sweep_driver_memoizes_artifacts_and_reports_reuse():

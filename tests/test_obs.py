@@ -234,8 +234,8 @@ class TestStatelessInstances:
     """One instance serves traced and untraced runs, back to back and
     from two threads: the tracer holds only the traced runs' events and
     every answer equals a fresh instance's. AlignedBound's threads probe
-    one shared space, which registers each probe plan once. Sharing warm
-    instances across served requests relies on this."""
+    one shared space, whose probe table keeps one plan per signature.
+    Sharing warm instances across served requests relies on this."""
 
     @pytest.fixture(params=[SpillBound, PlanBouquet, AlignedBound])
     def cls(self, request):

@@ -8,10 +8,10 @@ here, even when the sweep's MSO and ASO stay put.
 
 Only discrete fields enter a digest -- contour, plan id, mode, epp,
 outcome, learned index and repeat flag -- so the pins hold across the
-Python and NumPy versions CI runs. Each case builds its space on a fresh
-:class:`~repro.session.RobustSession`: AlignedBound's probe plans take
-the next free id in the shared space, so a shared fixture would make a
-digest depend on which tests ran first.
+Python and NumPy versions CI runs. An AlignedBound probe plan's id is
+derived from its signature, so it is the same whichever tests probed
+the space before; each case still builds its space on a fresh
+:class:`~repro.session.RobustSession` so it stands alone.
 """
 
 import hashlib
@@ -41,7 +41,7 @@ STREAM_DIGESTS = {
     "2D_Q91@8/spillbound":
         "19ca707d1be9689862b95fa7137d9da3df77a388785a78f6dd0ac818fbe709a1",
     "3D_Q15@6/alignedbound":
-        "3772fbf188ee196fadb01df4250725628c1d093762383db02ed9c1e92ae7e64a",
+        "fd30f850d52fdd95bf20609496bb2a48ad7d7665216fa5c2fad4376c9b37e7e3",
     "3D_Q15@6/native":
         "2259e83d4586200fc5d77a3d9eb0e6220cdc3a90cdacbbc1949af9592c565b37",
     "3D_Q15@6/oracle":
@@ -53,7 +53,7 @@ STREAM_DIGESTS = {
     "3D_Q15@6/spillbound":
         "40cf6d177021984841c93b681c7dc6c809d7cf3115dea3b29a4837c14edea9ab",
     "4D_Q91@5/alignedbound":
-        "bcfe5831507729d02730577df99b6e08102a5145dadff031c07c7c68aacc39fd",
+        "a0fcc6df5c8b7ca1242908f8f888a46fde39ec545197bcdb5db718125839005f",
     "4D_Q91@5/native":
         "4797dd90de716837b5f53837ef5f58ff35e424ee0c675e55ac3e8f5b1709041e",
     "4D_Q91@5/oracle":

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.common.errors import OptimizerError
+from repro.common.errors import DiscoveryError, OptimizerError
 from repro.ess.space import ExplorationSpace, default_resolution
 
 
@@ -68,17 +68,50 @@ class TestPlanRegistry:
         assert info.id == toy_space.plans[0].id
         assert len(toy_space.plans) == count
 
-    def test_concurrent_registration_deduplicates(self, toy_query,
-                                                  monkeypatch):
-        """Threads registering the same trees into one space (the
-        serve daemon's compute pool probing a shared space) leave each
-        plan registered once, under a dense id."""
-        from repro.cost.kernel import GridKernel
+    def test_built_universe_is_fixed(self):
+        """A probe plan stays outside ``plans``; registering it into the
+        built space is refused."""
+        from repro.harness.workloads import workload
 
-        donor = ExplorationSpace(toy_query, resolution=8, s_min=1e-5)
-        donor.build(mode="exact")
-        trees = [info.tree for info in donor.plans]
-        space = ExplorationSpace(toy_query, resolution=8, s_min=1e-5)
+        space = ExplorationSpace(workload("2D_Q91"), resolution=6)
+        space.build(mode="exact")
+        probes = [space.probe_plan(index, epp)
+                  for index in space.grid.indices()
+                  for epp in space.query.epps]
+        outside = [info for info in probes
+                   if info is not None and info.id >= len(space.plans)]
+        assert outside
+        with pytest.raises(DiscoveryError):
+            space.register_plan(outside[0].tree)
+
+    def test_probe_id_clash_raises(self, monkeypatch):
+        """Probe plans sharing an id would alias in id-keyed caches."""
+        import types
+
+        from repro.ess import space as space_module
+        from repro.harness.workloads import workload
+
+        space = ExplorationSpace(workload("2D_Q91"), resolution=6)
+        space.build(mode="exact")
+        monkeypatch.setattr(space_module, "zlib",
+                            types.SimpleNamespace(crc32=lambda data: 7))
+        with pytest.raises(DiscoveryError, match="share id"):
+            for index in space.grid.indices():
+                for epp in space.query.epps:
+                    space.probe_plan(index, epp)
+
+    def test_concurrent_registration_deduplicates(self, monkeypatch):
+        """Threads probing one shared space (the serve daemon's compute
+        pool) get the same PlanInfo per probe and leave ``plans`` as
+        the build registered it."""
+        from repro.cost.kernel import GridKernel
+        from repro.harness.workloads import workload
+
+        space = ExplorationSpace(workload("2D_Q91"), resolution=6)
+        space.build(mode="exact")
+        plans = list(space.plans)
+        keys = [(index, epp) for index in space.grid.indices()
+                for epp in space.query.epps]
         surface = GridKernel.plan_surface
 
         def slow_surface(kernel, tree):
@@ -87,13 +120,14 @@ class TestPlanRegistry:
 
         monkeypatch.setattr(GridKernel, "plan_surface", slow_surface)
         barrier = threading.Barrier(4)
+        answers = [None] * 4
 
-        def register():
+        def probe(slot):
             barrier.wait(10)
-            for tree in trees:
-                space.register_plan(tree)
+            answers[slot] = [space.probe_plan(*key) for key in keys]
 
-        threads = [threading.Thread(target=register) for _ in range(4)]
+        threads = [threading.Thread(target=probe, args=(slot,))
+                   for slot in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -104,9 +138,14 @@ class TestPlanRegistry:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        signatures = [info.tree.signature() for info in space.plans]
-        assert len(signatures) == len(set(signatures)) == len(trees)
-        assert all(info.id == k for k, info in enumerate(space.plans))
+        assert space.plans == plans
+        for other in answers[1:]:
+            assert all(a is b for a, b in zip(answers[0], other))
+        probes = {id(info): info for info in answers[0]
+                  if info is not None and info.id >= len(plans)}
+        assert len(probes) >= 2
+        signatures = [info.tree.signature() for info in probes.values()]
+        assert len(set(signatures)) == len(signatures)
 
     def test_spill_order_contains_epps_only(self, toy_space):
         for info in toy_space.plans:
@@ -145,5 +184,5 @@ class TestMisc:
     def test_repr_mentions_build_state(self, toy_query):
         space = ExplorationSpace(toy_query, resolution=4, s_min=1e-5)
         assert "unbuilt" in repr(space)
-        space.build(mode="fast", sample=8)
+        space.build(mode="fast")
         assert "built" in repr(space)

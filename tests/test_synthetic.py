@@ -41,7 +41,7 @@ class TestConstruction:
 
     def test_constrained_probe_declines(self):
         space = textbook_space(resolution=8)
-        assert space.optimize_at((0, 0), spilling_on="e1") is None
+        assert space.probe_plan((0, 0), "e1") is None
 
 
 class TestTextbookSpace:
