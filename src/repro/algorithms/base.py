@@ -20,9 +20,13 @@ baselines run one unbudgeted execution each instead.
 import math
 
 from repro.common.errors import DiscoveryError
+from repro.common.lru import BoundedCache
 from repro.engine.simulated import SimulatedEngine
 from repro.obs.metrics import run_metrics
 from repro.obs.tracer import NULL_TRACER
+
+#: Step-memo rows (discovery states) kept per instance.
+MEMO_ROWS = 8192
 
 
 class ExecutionRecord:
@@ -186,9 +190,10 @@ class RobustAlgorithm:
 
     An instance holds no per-run state: a run's engine, checkpoint and
     trace sink are arguments of :meth:`run`, so one run's events never
-    land in another run's trace. What it keeps across runs is keyed by
-    discovery state: :meth:`run` memoizes each state's :meth:`choose`
-    answer, so the choice is paid once per state, not once per run.
+    land in another run's trace, and one instance serves many runs at
+    once. What it keeps across runs is keyed by discovery state:
+    :meth:`run` memoizes each state's :meth:`choose` answer, so the
+    choice is paid once per state, not once per run.
     """
 
     #: Short name used in reports; subclasses override.
@@ -198,14 +203,16 @@ class RobustAlgorithm:
         if not space.built:
             raise DiscoveryError("exploration space must be built first")
         self.space = space
-        #: ``(resolved items, remaining epps)`` -> per contour (and one
-        #: past the last), that state's :meth:`choose` answer or
-        #: ``None`` before it is first asked. Nesting shares each
-        #: (resolved, remaining) key across the contours it climbs.
-        self._choices = {}
+        #: :meth:`_state_key` -> per contour (and one past the last),
+        #: that state's :meth:`choose` answer or ``None`` before it is
+        #: first asked; at most :data:`MEMO_ROWS` rows. Nesting shares
+        #: each (resolved, remaining) key across the contours it climbs.
+        self._choices = BoundedCache(MEMO_ROWS)
         #: Each distinct answer once: the many states that choose alike
         #: (most choose nothing, or one 1-D step) share one tuple.
-        self._answers = {}
+        self._answers = BoundedCache(MEMO_ROWS)
+        self._epp_bits = {epp: 1 << d
+                          for d, epp in enumerate(space.query.epps)}
 
     def engine_for(self, qa_index):
         """Create a fresh engine hiding ``qa_index`` as the truth."""
@@ -226,6 +233,13 @@ class RobustAlgorithm:
         depends on the state alone, so :meth:`run` memoizes it.
         """
         raise NotImplementedError
+
+    def _state_key(self, resolved, remaining):
+        """A plain int naming the discovery state (exactly learnt dims
+        and their indices, remaining epps): the memo row's key."""
+        bits = self._epp_bits
+        return self.contours.pin_key(resolved) << len(bits) \
+            | sum(bits[epp] for epp in remaining)
 
     def _ordered(self, steps, qa_index):
         """The order in which this run executes a choice's steps."""
@@ -281,9 +295,11 @@ class RobustAlgorithm:
                 state.sync(i)
             if table is None:
                 remaining = frozenset(state.remaining)
-                table = self._choices.setdefault(
-                    (tuple(sorted(state.resolved.items())), remaining),
-                    [None] * (last + 2))
+                key = self._state_key(state.resolved, remaining)
+                table = self._choices.get(key)
+                if table is None:
+                    table = self._choices.setdefault(key,
+                                                     [None] * (last + 2))
             choice = table[i]
             if choice is None:
                 choice = self.choose(i, state.resolved, remaining)

@@ -20,14 +20,17 @@ the result on the plan, so the kernel caches only the spill-mode
 subtree tensors that many truths slice.
 """
 
-from collections import OrderedDict
+import operator
 
 import numpy as np
 
-#: Cap on cached subtree surfaces per kernel: high-dimensional grids
-#: make each tensor grid-sized, so the cache is bounded like the
-#: engine-level profile cache it replaces.
-SUBTREE_SURFACE_CAP = 256
+from repro.common.lru import BoundedCache
+
+#: Bytes of subtree surfaces kept per kernel. Each surface is
+#: grid-sized, so the budget, not a count, bounds the memory; a
+#: benchmark sweep touches at most 7.3 MB of them per kernel (54
+#: surfaces on 5D_Q19 at resolution 7).
+SUBTREE_SURFACE_BYTES = 16 << 20
 
 
 class GridKernel:
@@ -50,7 +53,8 @@ class GridKernel:
         self.cost_model = cost_model
         self._flat = None
         self._mesh = None
-        self._subtrees = OrderedDict()
+        self._subtrees = BoundedCache(SUBTREE_SURFACE_BYTES,
+                                      weigh=operator.attrgetter("nbytes"))
 
     # ------------------------------------------------------------------
     # assignments
@@ -117,7 +121,6 @@ class GridKernel:
         key = (plan_id, node.node_id)
         surface = self._subtrees.get(key)
         if surface is not None:
-            self._subtrees.move_to_end(key)
             return surface
         surface = np.asarray(
             self.cost_model.subtree_cost(node, self.mesh_assignment()),
@@ -127,10 +130,7 @@ class GridKernel:
             surface = np.broadcast_to(
                 surface, self.grid.shape).astype(float)
         surface.flags.writeable = False
-        self._subtrees[key] = surface
-        while len(self._subtrees) > SUBTREE_SURFACE_CAP:
-            self._subtrees.popitem(last=False)
-        return surface
+        return self._subtrees.setdefault(key, surface)
 
     def spill_profile(self, plan_id, node, dim, qa_index):
         """Subtree cost along dimension ``dim`` at truth ``qa_index``.

@@ -54,23 +54,18 @@ def anorexic_reduction(space, lam=0.2):
         raise DiscoveryError("replacement threshold must be non-negative")
 
     plan_flat = space.plan_at.ravel()
-    opt_flat = space.opt_cost.ravel()
-    present = [int(p) for p in np.unique(plan_flat)]
-    threshold = (1.0 + lam) * opt_flat
-
-    regions = {p: np.nonzero(plan_flat == p)[0] for p in present}
-    cost_flat = {p: space.plans[p].cost.ravel() for p in present}
+    present, labels = np.unique(plan_flat, return_inverse=True)
+    present = [int(p) for p in present]
+    limit = (1.0 + lam) * space.opt_cost.ravel() * (1 + 1e-12)
 
     # swallowable[i] = set of regions plan i may take over (including its
-    # own, where its cost is exactly optimal).
+    # own, where its cost is exactly optimal): the regions holding no
+    # cell where plan i costs more than the limit.
     swallowable = {}
     for i in present:
-        cost_i = cost_flat[i]
-        swallowable[i] = {
-            j
-            for j in present
-            if np.all(cost_i[regions[j]] <= threshold[regions[j]] * (1 + 1e-12))
-        }
+        fails = np.bincount(labels[~(space.plans[i].cost.ravel() <= limit)],
+                            minlength=len(present))
+        swallowable[i] = {present[j] for j in np.flatnonzero(fails == 0)}
 
     remaining = set(present)
     owner = {}
@@ -90,7 +85,7 @@ def anorexic_reduction(space, lam=0.2):
 
     reduced_flat = np.empty_like(plan_flat)
     for j, i in owner.items():
-        reduced_flat[regions[j]] = i
+        reduced_flat[plan_flat == j] = i
     return ReducedDiagram(
         reduced_flat.reshape(space.plan_at.shape), sorted(retained), lam
     )

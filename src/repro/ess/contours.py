@@ -14,11 +14,20 @@ learnt) is the frontier of the cost surface restricted to the subspace
 where learnt dimensions are pinned to their discovered values.
 """
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from repro.common.errors import DiscoveryError
+from repro.common.lru import BoundedCache
+
+#: Slices kept per contour set. A benchmark sweep round reads at most
+#: 5,295 distinct slices of one contour set (4D_Q91 at resolution 5;
+#: AlignedBound re-reads nearly every slice SpillBound computed), and a
+#: smaller LRU loses nearly all of those hits.
+SLICE_CACHE_SLOTS = 8192
 
 
 class ContourSlice:
@@ -30,16 +39,13 @@ class ContourSlice:
         ``(M, D)`` int array of member grid indices (full-space coords).
     plan_ids:
         ``(M,)`` int array: POSP plan id at each member.
-    free_dims:
-        Tuple of dimensions that were not pinned.
     """
 
-    __slots__ = ("coords", "plan_ids", "free_dims")
+    __slots__ = ("coords", "plan_ids")
 
-    def __init__(self, coords, plan_ids, free_dims):
+    def __init__(self, coords, plan_ids):
         self.coords = coords
         self.plan_ids = plan_ids
-        self.free_dims = free_dims
 
     def __len__(self):
         return self.coords.shape[0]
@@ -60,7 +66,13 @@ class ContourSet:
         self.space = space
         self.ratio = ratio
         self.costs = _contour_costs(space.c_min, space.c_max, ratio)
-        self._slice_cache = {}
+        #: Place value of each dimension's pinned index in a
+        #: :meth:`pin_key`: mixed radix ``shape[d] + 1``, so an unpinned
+        #: dimension contributes 0.
+        self._radix = list(itertools.accumulate(
+            (n + 1 for n in space.grid.shape[:-1]), operator.mul,
+            initial=1))
+        self._slice_cache = BoundedCache(SLICE_CACHE_SLOTS)
 
     def __len__(self):
         return len(self.costs)
@@ -71,24 +83,32 @@ class ContourSet:
 
     # ------------------------------------------------------------------
 
+    def pin_key(self, fixed):
+        """A plain int naming the pinned assignment ``fixed`` (dimension
+        -> grid index): equal exactly when the assignments are."""
+        radix = self._radix
+        return sum((index + 1) * radix[d] for d, index in fixed.items())
+
     def members(self, i, fixed=None):
         """Contour ``i`` restricted to pinned dimensions.
 
         ``fixed`` maps dimension -> grid index for exactly-learnt epps.
-        Results are cached; the cache key includes the pinned assignment.
+        Results are kept in a :class:`BoundedCache` of
+        :data:`SLICE_CACHE_SLOTS` slices, keyed by contour and
+        :meth:`pin_key`.
         """
-        key = (i, tuple(sorted((fixed or {}).items())))
+        fixed = fixed or {}
+        key = self.pin_key(fixed) * len(self.costs) + i
         slice_ = self._slice_cache.get(key)
         if slice_ is None:
-            slice_ = self._compute_members(i, fixed or {})
-            self._slice_cache[key] = slice_
+            slice_ = self._slice_cache.setdefault(
+                key, self._compute_members(i, fixed))
         return slice_
 
     def _compute_members(self, i, fixed):
         space = self.space
         dims = space.grid.dims
         cc = self.costs[i]
-        free_dims = tuple(d for d in range(dims) if d not in fixed)
         slicer = tuple(
             fixed[d] if d in fixed else slice(None) for d in range(dims)
         )
@@ -103,17 +123,18 @@ class ContourSet:
             else:
                 coords = np.empty((0, dims), dtype=np.int64)
             plan_ids = space.plan_at[slicer].reshape(-1)[: len(coords)]
-            return ContourSlice(coords, plan_ids, free_dims)
+            return ContourSlice(coords, plan_ids)
 
         mask = _frontier_mask(reduced, cc)
         reduced_coords = np.argwhere(mask)
         coords = np.empty((reduced_coords.shape[0], dims), dtype=np.int64)
+        free_dims = [d for d in range(dims) if d not in fixed]
         for axis, d in enumerate(free_dims):
             coords[:, d] = reduced_coords[:, axis]
         for d, idx in fixed.items():
             coords[:, d] = idx
         plan_ids = space.plan_at[tuple(coords.T)].astype(np.int64)
-        return ContourSlice(coords, plan_ids, free_dims)
+        return ContourSlice(coords, plan_ids)
 
     # ------------------------------------------------------------------
 

@@ -673,8 +673,11 @@ class RobustServeDaemon:
 
         Every step resolves through the shared warm session: the space
         and contours come from (and land in) the artifact cache, the
-        per-spec circuit breaker is shared across tenants, and the
-        layered deadline rides into the run via the guard.
+        algorithm is the session's one shared instance for the space
+        and name (built by the first request of its class, never by
+        ``warm``), the per-spec circuit breaker is shared across
+        tenants, and the layered deadline rides into the run via this
+        request's own guard.
 
         Non-native backends additionally sit behind a per-backend
         circuit breaker on the session's board (key

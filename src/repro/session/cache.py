@@ -25,12 +25,17 @@ misses and rebuilt, never trusted.
 
 Contours are derived data (seconds, not minutes) and are cached in
 memory only, attached to their space's cache entry keyed by cost ratio.
+The session's shared algorithm instances
+(:meth:`~repro.session.session.RobustSession.shared_algorithm`) live in
+the same entry, next to the contour sets they climb, so an evicted
+entry takes its instances with it.
 """
 
 import hashlib
 import json
 import os
 import threading
+import weakref
 from collections import OrderedDict
 
 from repro.common.atomicio import FileLock, LockTimeoutError
@@ -160,14 +165,36 @@ class CacheStats:
         return "CacheStats(%s)" % self.describe()
 
 
-class _Entry:
-    """One cached space plus its derived contour sets, keyed by ratio."""
+class CacheEntry:
+    """One cached space plus its derived contour sets, keyed by ratio,
+    and the algorithm instances shared over them, keyed by ``(ratio,
+    name, kwargs)``.
 
-    __slots__ = ("space", "contours")
+    A contour set reaches its entry through :func:`owner_of`, a weak
+    reference: an instance holds its contour set, so a strong one back
+    would form a cycle that keeps an evicted space alive until the
+    cyclic garbage collector runs.
+    """
+
+    __slots__ = ("space", "contours", "instances", "__weakref__")
 
     def __init__(self, space):
         self.space = space
         self.contours = {}
+        self.instances = {}
+
+    def draw(self, ratio):
+        """A new contour set over this entry's space, owned by it."""
+        contours = ContourSet(self.space, ratio=ratio)
+        contours._owner = weakref.ref(self)
+        return contours
+
+
+def owner_of(contours):
+    """The :class:`CacheEntry` holding ``contours``, or ``None`` for a
+    contour set no live entry holds."""
+    owner = getattr(contours, "_owner", None)
+    return owner() if owner is not None else None
 
 
 class ArtifactCache:
@@ -248,7 +275,7 @@ class ArtifactCache:
         # Build outside the mutex (contour construction can take
         # seconds); a concurrent builder of the same ratio loses the
         # publish race below and its result is discarded.
-        contours = ContourSet(entry.space, ratio=ratio)
+        contours = entry.draw(ratio)
         with self._mutex:
             published = entry.contours.setdefault(ratio, contours)
         return entry.space, published
@@ -290,7 +317,7 @@ class ArtifactCache:
                 # so every caller shares one space object.
                 self._entries.move_to_end(key)
                 return raced
-            entry = _Entry(space)
+            entry = CacheEntry(space)
             self._entries[key] = entry
             while len(self._entries) > self.memory_slots:
                 self._entries.popitem(last=False)

@@ -28,7 +28,12 @@ from repro.ess.contours import ContourSet
 from repro.ess.space import ExplorationSpace
 from repro.obs.tracer import NULL_TRACER
 from repro.robustness import DiscoveryGuard, RetryPolicy
-from repro.session.cache import ArtifactCache, SpaceKey
+from repro.session.cache import (
+    ArtifactCache,
+    CacheEntry,
+    SpaceKey,
+    owner_of,
+)
 from repro.session.registry import BreakerBoard, EngineSpec
 
 #: name -> factory(space, contours, **kwargs). Contour-free baselines
@@ -168,22 +173,22 @@ class RobustSession:
 
     def contours_for(self, space, ratio=None):
         """Contours for a space built outside the session (synthetic
-        geometries, adopted archives). Cached per space object."""
+        geometries, adopted archives). Cached per space object, in an
+        artifact-cache entry of its own hung on the space."""
         ratio = self.ratio if ratio is None else ratio
-        cache = getattr(space, "_session_contours", None)
-        if cache is None:
-            cache = {}
+        entry = getattr(space, "_session_entry", None)
+        if entry is None:
+            entry = CacheEntry(space)
             try:
-                space._session_contours = cache
+                space._session_entry = entry
             except AttributeError:
                 # __slots__-restricted space: build uncached.
                 self.cache.stats.contour_builds += 1
                 return ContourSet(space, ratio=ratio)
-        contours = cache.get(ratio)
+        contours = entry.contours.get(ratio)
         if contours is None:
             self.cache.stats.contour_builds += 1
-            contours = ContourSet(space, ratio=ratio)
-            cache[ratio] = contours
+            contours = entry.contours.setdefault(ratio, entry.draw(ratio))
         else:
             self.cache.stats.contour_hits += 1
         return contours
@@ -228,9 +233,11 @@ class RobustSession:
         ``algorithm`` is a registry name, a class with the
         ``(space, contours)`` constructor, or an already-built
         instance (returned as-is, possibly guarded). Extra ``kwargs``
-        (``lam=``, ``seed=``) go to the algorithm factory. With a
-        session guard policy (or ``guard=`` override) the instance is
-        wrapped in a :class:`DiscoveryGuard`; ``deadline=`` and
+        (``lam=``, ``seed=``) go to the algorithm factory. A registry
+        name resolves to one shared instance per contour set, name and
+        ``kwargs`` (:meth:`shared_algorithm`). With a session guard
+        policy (or ``guard=`` override) the instance is wrapped in a
+        :class:`DiscoveryGuard` of this call alone; ``deadline=`` and
         ``breaker=`` attach durability watchdogs to that guard (and
         imply a default one when the session has none). A session-level
         :class:`BreakerBoard` supplies the per-engine breaker when
@@ -251,14 +258,8 @@ class RobustSession:
             elif contours is None:
                 contours = self.contours_for(space, ratio=ratio)
             if isinstance(algorithm, str):
-                try:
-                    factory = ALGORITHMS[algorithm]
-                except KeyError:
-                    raise DiscoveryError(
-                        "unknown algorithm %r (registered: %s)"
-                        % (algorithm, ", ".join(sorted(ALGORITHMS)))
-                    ) from None
-                instance = factory(space, contours, **kwargs)
+                instance = self.shared_algorithm(algorithm, space,
+                                                 contours, **kwargs)
             else:
                 instance = algorithm(space, contours, **kwargs)
         policy = self.guard_policy if guard is None else guard
@@ -272,6 +273,40 @@ class RobustSession:
         if policy:
             instance = DiscoveryGuard(instance, policy=policy,
                                       deadline=deadline, breaker=breaker)
+        return instance
+
+    @staticmethod
+    def shared_algorithm(name, space, contours, **kwargs):
+        """The one bare instance of registry algorithm ``name`` with
+        ``kwargs`` over ``contours`` (drawn over ``space``), built by
+        the first request for it.
+
+        Instances live in the artifact-cache entry that holds the
+        contour set (for :meth:`contours_for`, the entry hung on the
+        space), so they live and die with it. A contour set no entry
+        holds (``cache=False``, or one the caller drew) gets a new
+        instance per call. An instance keeps no per-run state, and
+        every cache it fills is keyed by discovery state and bounded,
+        so sharing one across runs and threads changes no answer.
+        """
+        try:
+            factory = ALGORITHMS[name]
+        except KeyError:
+            raise DiscoveryError(
+                "unknown algorithm %r (registered: %s)"
+                % (name, ", ".join(sorted(ALGORITHMS)))) from None
+        if contours.space is not space:
+            raise DiscoveryError("contours belong to another space")
+        entry = owner_of(contours)
+        if entry is None:
+            return factory(space, contours, **kwargs)
+        key = (contours.ratio, name, tuple(sorted(kwargs.items())))
+        instance = entry.instances.get(key)
+        if instance is None:
+            # Built outside any lock: two racing first requests may
+            # both build, and the first to publish is the one shared.
+            instance = entry.instances.setdefault(
+                key, factory(space, contours, **kwargs))
         return instance
 
     # ------------------------------------------------------------------

@@ -241,10 +241,11 @@ class SweepDriver:
         return session_reuse_summary(self.session)
 
     def algorithm(self, algorithm, query):
-        """Instantiate ``algorithm`` over the cached artifacts.
+        """``algorithm`` over the cached artifacts: for a registry name,
+        the session's shared instance (:meth:`RobustSession.algorithm`).
 
         A prebuilt instance runs as given: the session guard, deadline
-        and breaker apply to the instances the driver builds from
+        and breaker apply to the instances the driver resolves from
         names or classes, so an instance is never guarded twice.
         """
         if not isinstance(algorithm, (str, type)):

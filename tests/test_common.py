@@ -1,4 +1,5 @@
-"""Tests for shared infrastructure: reporting, RNG, error hierarchy."""
+"""Tests for shared infrastructure: reporting, RNG, error hierarchy,
+bounded caches."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.common.errors import (
     QueryError,
     ReproError,
 )
+from repro.common.lru import BoundedCache
 from repro.common.reporting import Report, format_table
 from repro.common.rng import derive_rng, make_rng
 
@@ -101,3 +103,31 @@ class TestReport:
         report = Report("demo")
         report.add_table("t", ["x"], [[1]])
         assert str(report) == report.render()
+
+
+class TestBoundedCache:
+    def test_counts_entries_and_evicts_least_recent(self):
+        cache = BoundedCache(2)
+        assert cache.setdefault("a", 1) == 1
+        cache.setdefault("b", 2)
+        assert cache.get("a") == 1  # "b" is now the least recent
+        cache.setdefault("c", 3)
+        assert cache.get("b") is None
+        assert [key for key, _ in cache.items()] == ["a", "c"]
+        assert cache.held == len(cache) == 2
+
+    def test_first_publish_wins(self):
+        cache = BoundedCache(4)
+        first = cache.setdefault("k", [1])
+        assert cache.setdefault("k", [1]) is first
+
+    def test_weighted_budget_keeps_the_newest(self):
+        cache = BoundedCache(100, weigh=len)
+        cache.setdefault("a", "x" * 60)
+        cache.setdefault("b", "x" * 30)
+        cache.setdefault("c", "x" * 20)
+        assert [key for key, _ in cache.items()] == ["b", "c"]
+        assert cache.held == 50
+        cache.setdefault("d", "x" * 500)
+        assert [key for key, _ in cache.items()] == ["d"]
+        assert cache.held == 500

@@ -17,6 +17,9 @@ import time
 
 import pytest
 
+from repro.algorithms import base
+from repro.cost import kernel
+from repro.ess import contours as contour_module
 from repro.robustness.durable import CircuitBreaker
 from repro.session import BreakerBoard, EngineSpec, RobustSession
 from repro.session.cache import ArtifactCache, SpaceKey
@@ -134,6 +137,65 @@ class TestCacheHammer:
         assert session.cache.probe(key) == "memory"
         session.cache.clear()
         assert session.cache.probe(key) == "disk"
+
+
+class TestSharedInstanceHammer:
+    """The daemon's compute threads share one instance per algorithm
+    and contour set. With every bounded cache shrunk until it evicts on
+    nearly every publish, four threads over disjoint truths answer
+    exactly as a serial run on a fresh session."""
+
+    QUERY, RESOLUTION = "4D_Q91", 5
+    ALGORITHMS = ("spillbound", "alignedbound")
+
+    def _answer(self, instance, qa):
+        result = instance.run(qa)
+        return (result.total_cost, result.extras,
+                [record.as_event() for record in result.executions])
+
+    def test_shared_instances_under_evicting_budgets(self, monkeypatch):
+        session = RobustSession()
+        space, contours = session.space_and_contours(
+            self.QUERY, resolution=self.RESOLUTION)
+        truths = list(space.grid.indices())[::3]
+        serial = {(name, qa): self._answer(
+                      session.algorithm(name, space=space,
+                                        contours=contours), qa)
+                  for name in self.ALGORITHMS for qa in truths}
+
+        surface = space.grid.size * 8
+        monkeypatch.setattr(contour_module, "SLICE_CACHE_SLOTS", 8)
+        monkeypatch.setattr(kernel, "SUBTREE_SURFACE_BYTES", 2 * surface)
+        monkeypatch.setattr(base, "MEMO_ROWS", 4)
+        session = RobustSession()
+        space, contours = session.space_and_contours(
+            self.QUERY, resolution=self.RESOLUTION)
+        shared = [session.algorithm(name, space=space, contours=contours)
+                  for name in self.ALGORITHMS]
+        answers = [{} for _ in range(4)]
+
+        def worker(index):
+            for qa in truths[index::4]:
+                for instance in shared:
+                    answers[index][(instance.name, qa)] = \
+                        self._answer(instance, qa)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        merged = {}
+        for part in answers:
+            merged.update(part)
+        assert merged == serial
+        # Every cache stayed within its budget while it evicted.
+        assert len(contours._slice_cache) == 8
+        assert space.kernel._subtrees.held <= 2 * surface
+        for instance in shared:
+            assert len(instance._choices) == 4
+            assert len(instance._answers) == 4
 
 
 class TestBreakerHammer:

@@ -119,7 +119,6 @@ class TestEffectiveContours:
         members = contours.members(mid, fixed={0: 5})
         if not members.is_empty:
             assert np.all(members.coords[:, 0] == 5)
-            assert members.free_dims == (1,)
 
     def test_effective_line_has_single_crossing(self, toy_space):
         contours = ContourSet(toy_space)

@@ -377,6 +377,20 @@ class TestDaemonIntegration:
         run = client.run("3D_Q15", resolution=6, tenant="basic")
         assert run["served"] == "cached"
 
+    def test_warm_builds_no_instance_and_runs_share_one(self, daemon,
+                                                        client):
+        from repro.session.cache import owner_of
+
+        session = daemon.daemon.session
+        client.warm("3D_Q15", resolution=5, tenant="basic")
+        _, contours = session.space_and_contours("3D_Q15", resolution=5)
+        entry = owner_of(contours)
+        assert entry.instances == {}
+        for qa in ([1, 2, 3], [4, 0, 2], [3, 3, 3]):
+            assert client.run("3D_Q15", resolution=5, qa=qa,
+                              tenant="basic")["ok"]
+        assert list(entry.instances) == [(contours.ratio, "spillbound", ())]
+
     def test_bad_request_is_refused_not_fatal(self, client):
         response = client.request({"op": "run"})
         assert response["ok"] is False

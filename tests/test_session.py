@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.common.errors import DiscoveryError
+from repro.ess.contours import ContourSet
 from repro.ess.space import default_resolution
 from repro.ess.synthetic import textbook_space
+from repro.obs.tracer import Tracer
 from repro.robustness import RetryPolicy
 from repro.robustness.guard import DiscoveryGuard
 from repro.session import (
@@ -221,6 +223,117 @@ class TestAlgorithmsAndRuns:
         second = session.contours_for(synthetic)
         assert second is first
         assert session.stats.contour_hits == 1
+
+
+class TestSharedInstances:
+    """``session.algorithm`` hands out one bare instance per contour set,
+    registry name and keyword arguments. What an instance keeps across
+    runs is keyed by discovery state, so after other truths it answers
+    an unseen truth exactly as a fresh session does: records, total,
+    extras and trace events."""
+
+    QUERY, RESOLUTION = "4D_Q91", 5
+    NOISY = "simulated+noisy(delta=0.3,seed=5)"
+    #: Trace fields that number or time events rather than describe them.
+    FRAMING = ("t", "seq", "run", "span")
+
+    def _answer(self, session, algorithm, qa):
+        tracer = Tracer()
+        result = session.run(self.QUERY, qa, algorithm=algorithm,
+                             resolution=self.RESOLUTION, tracer=tracer)
+        events = [{k: v for k, v in record.items()
+                   if k not in self.FRAMING} for record in tracer.records]
+        return (result.total_cost, result.extras,
+                [record.as_event() for record in result.executions],
+                events)
+
+    @pytest.mark.parametrize("spec", ["simulated", NOISY])
+    @pytest.mark.parametrize("algorithm", ["planbouquet", "randomized",
+                                           "spillbound", "alignedbound"])
+    def test_shared_answer_equals_fresh(self, algorithm, spec):
+        warm = RobustSession(engine_spec=spec)
+        truths = list(warm.space(self.QUERY,
+                                 resolution=self.RESOLUTION).grid.indices())
+        order = np.random.default_rng(11).permutation(len(truths))
+        seen = [truths[i] for i in order[:40]]
+        unseen = [truths[i] for i in order[40:43]]
+        for qa in seen:
+            self._answer(warm, algorithm, qa)
+        shared = warm.algorithm(algorithm, query=self.QUERY,
+                                resolution=self.RESOLUTION)
+        assert len(shared._choices) > 0
+        for qa in unseen:
+            fresh = self._answer(RobustSession(engine_spec=spec),
+                                 algorithm, qa)
+            assert self._answer(warm, algorithm, qa) == fresh
+        assert warm.algorithm(algorithm, query=self.QUERY,
+                              resolution=self.RESOLUTION) is shared
+
+    def test_one_instance_per_contour_set_name_and_kwargs(self):
+        session = RobustSession(memory_slots=1)
+
+        def algorithm(name="spillbound", **kwargs):
+            return session.algorithm(name, query="2D_Q91", resolution=6,
+                                     **kwargs)
+
+        sb = algorithm()
+        assert algorithm() is sb
+        assert algorithm("alignedbound") is not sb
+        pb = algorithm("planbouquet", lam=0.1)
+        assert algorithm("planbouquet", lam=0.1) is pb
+        assert algorithm("planbouquet", lam=0.3) is not pb
+        # Guards belong to one call and wrap the shared instance.
+        first, second = algorithm(guard=True), algorithm(guard=True)
+        assert first is not second
+        assert first.algorithm is second.algorithm is sb
+        # Another contour ratio is another contour set.
+        assert algorithm(ratio=1.5) is not sb
+        # Evicting the space's cache entry drops its instances.
+        session.space("3D_Q15", resolution=4)
+        assert algorithm() is not sb
+
+    def test_foreign_space_shares_through_contours_for(self):
+        session = RobustSession()
+        synthetic = textbook_space(resolution=16)
+        sb = session.algorithm("spillbound", space=synthetic)
+        assert session.algorithm("spillbound", space=synthetic) is sb
+        assert sb.contours is session.contours_for(synthetic)
+
+    def test_unowned_contours_get_a_new_instance(self):
+        session = RobustSession()
+        space, _ = session.space_and_contours("2D_Q91", resolution=6,
+                                              cache=False)
+        drawn = ContourSet(space)
+        first = session.algorithm("spillbound", space=space,
+                                  contours=drawn)
+        assert session.algorithm("spillbound", space=space,
+                                 contours=drawn) is not first
+
+    def test_evicted_entry_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        session = RobustSession(memory_slots=1)
+        space, contours = session.space_and_contours("2D_Q91",
+                                                     resolution=6)
+        session.algorithm("spillbound", space=space, contours=contours)
+        gone = weakref.ref(space)
+        del space, contours
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session.space("3D_Q15", resolution=4)  # evicts 2D_Q91
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_contours_of_another_space_rejected(self):
+        session = RobustSession()
+        space = session.space("2D_Q91", resolution=6)
+        other = ContourSet(textbook_space(resolution=16))
+        with pytest.raises(DiscoveryError, match="another space"):
+            session.algorithm("spillbound", space=space, contours=other)
 
 
 class TestSharedDefaultSession:
