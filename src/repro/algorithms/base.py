@@ -20,13 +20,10 @@ baselines run one unbudgeted execution each instead.
 import math
 
 from repro.common.errors import DiscoveryError
-from repro.common.lru import BoundedCache
+from repro.common.lru import MEMO_ROWS, BoundedCache
 from repro.engine.simulated import SimulatedEngine
 from repro.obs.metrics import run_metrics
 from repro.obs.tracer import NULL_TRACER
-
-#: Step-memo rows (discovery states) kept per instance.
-MEMO_ROWS = 8192
 
 
 class ExecutionRecord:

@@ -1,10 +1,10 @@
 """A least-recently-used map held to a fixed budget, safe across threads.
 
 Every cache a long-lived process keys by discovery state -- the grid
-kernel's subtree surfaces, a contour set's slices, an algorithm's step
-memo -- meets new keys for as long as new truths arrive. Each is a
-:class:`BoundedCache` whose budget is a module constant next to its
-owner, sized above the working set of the benchmark sweeps.
+kernel's subtree surfaces, a contour set's pin bands, an algorithm's
+step memo -- meets new keys for as long as new truths arrive. Each is a
+:class:`BoundedCache` whose budget is a module constant, sized above the
+working set of the benchmark sweeps.
 
 Lock discipline (the serving daemon runs ``--max-inflight`` compute
 threads over one shared instance): lookup, publish and eviction happen
@@ -16,6 +16,10 @@ evicted value stays valid for whoever still holds it.
 
 import threading
 from collections import OrderedDict
+
+#: Discovery states kept per step memo, and pins per contour set: every
+#: pin a step choice reads keys one of the memo's rows.
+MEMO_ROWS = 8192
 
 
 class BoundedCache:

@@ -17,7 +17,8 @@ code without perturbing a single grid, contour or sweep result.
 Plan cost surfaces are computed once per plan: the exploration space
 deduplicates plans by signature before asking for a surface and keeps
 the result on the plan, so the kernel caches only the spill-mode
-subtree tensors that many truths slice.
+subtree tensors that many truths slice. Those are evaluated on an open
+mesh, so each spans only the axes of the epps its subtree reads.
 """
 
 import operator
@@ -26,10 +27,11 @@ import numpy as np
 
 from repro.common.lru import BoundedCache
 
-#: Bytes of subtree surfaces kept per kernel. Each surface is
-#: grid-sized, so the budget, not a count, bounds the memory; a
-#: benchmark sweep touches at most 7.3 MB of them per kernel (54
-#: surfaces on 5D_Q19 at resolution 7).
+#: Bytes of subtree surfaces kept per kernel. A surface spans only the
+#: axes its subtree reads, so the budget holds the working set of the
+#: paper suite's default-resolution sweeps: 9.6 MiB (603 surfaces) for
+#: exhaustive SpillBound on 6D_Q91 at resolution 6, 1.5 MiB for
+#: SpillBound and AlignedBound on 5D_Q19 at resolution 8.
 SUBTREE_SURFACE_BYTES = 16 << 20
 
 
@@ -70,12 +72,12 @@ class GridKernel:
         return self._flat
 
     def mesh_assignment(self):
-        """``{epp: grid-shaped mesh}`` for tensor-valued evaluation."""
+        """``{epp: open mesh}`` for tensor-valued evaluation: epp ``d``'s
+        grid values along axis ``d``, size 1 on every other axis."""
         if self._mesh is None:
-            meshes = self.grid.meshes()
-            self._mesh = {
-                name: meshes[d] for d, name in enumerate(self.epps)
-            }
+            meshes = np.meshgrid(*self.grid.values, indexing="ij",
+                                 sparse=True)
+            self._mesh = dict(zip(self.epps, meshes))
         return self._mesh
 
     def gather_assignment(self, indices):
@@ -111,12 +113,16 @@ class GridKernel:
     # spill-mode subtree surfaces
 
     def subtree_surface(self, plan_id, node):
-        """Grid-shaped cost of the subtree rooted at ``node``.
+        """Cost of the subtree rooted at ``node`` over the grid, at its
+        own dimensionality.
 
-        One mesh evaluation replaces the per-truth 1-D profiles the
-        simulated engine used to recompute for every hidden location;
-        a spill profile is then just a 1-D slice of this tensor at the
-        truth's coordinates (:meth:`spill_profile`).
+        The surface has the grid's number of axes, full size on the axes
+        of the epps the subtree reads and size 1 on the rest; broadcast
+        to the grid it is the full-mesh evaluation, bit for bit. One
+        evaluation replaces the per-truth 1-D profiles the simulated
+        engine used to recompute for every hidden location; a spill
+        profile is then a 1-D slice of it at the truth's coordinates
+        (:meth:`spill_profile`).
         """
         key = (plan_id, node.node_id)
         surface = self._subtrees.get(key)
@@ -126,9 +132,6 @@ class GridKernel:
             self.cost_model.subtree_cost(node, self.mesh_assignment()),
             dtype=float,
         )
-        if surface.shape != tuple(self.grid.shape):
-            surface = np.broadcast_to(
-                surface, self.grid.shape).astype(float)
         surface.flags.writeable = False
         return self._subtrees.setdefault(key, surface)
 
@@ -141,7 +144,8 @@ class GridKernel:
         """
         surface = self.subtree_surface(plan_id, node)
         slicer = tuple(
-            slice(None) if d == dim else int(qa_index[d])
-            for d in range(self.grid.dims)
+            slice(None) if d == dim else
+            0 if size == 1 else int(qa_index[d])
+            for d, size in enumerate(surface.shape)
         )
         return surface[slicer]

@@ -19,8 +19,6 @@ The engine knows the true location; algorithms must only consume the
 returned outcomes (they receive learnt values, never ``qa`` itself).
 """
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.common.errors import DiscoveryError
@@ -29,11 +27,6 @@ from repro.obs.tracer import NULL_TRACER
 #: Relative slack when comparing costs against budgets, absorbing float
 #: round-off from vectorised evaluation.
 BUDGET_EPS = 1e-9
-
-#: Default cap on cached subtree profiles per engine. Long sweeps (e.g.
-#: the fault-sweep experiment, which builds one engine per location per
-#: fault rate) would otherwise grow the cache without bound.
-SPILL_CACHE_CAP = 1024
 
 
 class RegularOutcome:
@@ -77,15 +70,12 @@ class SimulatedEngine:
     #: layers (fault injection, deadlines) emit into the same stream.
     tracer = NULL_TRACER
 
-    def __init__(self, space, qa_index, spill_cache_cap=SPILL_CACHE_CAP):
+    def __init__(self, space, qa_index):
         self.space = space
         self.qa_index = tuple(int(i) for i in qa_index)
         if len(self.qa_index) != space.grid.dims:
             raise DiscoveryError("qa index dimensionality mismatch")
         self._truth = space.assignment_at(self.qa_index)
-        #: LRU-bounded cache of subtree cost profiles.
-        self._spill_cache = OrderedDict()
-        self._spill_cache_cap = spill_cache_cap
 
     # ------------------------------------------------------------------
 
@@ -138,28 +128,19 @@ class SimulatedEngine:
         ones plus ``epp`` itself, so unresolved values never leak into
         quantities the algorithm consumes.
         """
-        key = (plan_info.id, epp, node.node_id)
-        cached = self._spill_cache.get(key)
-        if cached is not None:
-            self._spill_cache.move_to_end(key)
-            return cached
-        # Kernel-backed spaces serve profiles as slices of a whole-grid
-        # subtree tensor computed once per (plan, node) and shared by
-        # every engine over the space; the slice is bitwise what the
-        # per-truth evaluation below produces.
+        # Kernel-backed spaces serve profiles as views of a subtree
+        # surface computed once per (plan, node) and shared by every
+        # engine over the space; the view is bitwise what the per-truth
+        # evaluation below produces.
         spill = getattr(self.space, "spill_profile", None)
-        profile = None
         if spill is not None:
             profile = spill(plan_info, epp, node, self.qa_index)
-        if profile is None:
-            dim = self.space.query.epp_index(epp)
-            assignment = dict(self._truth)
-            assignment[epp] = self.space.grid.values[dim]
-            profile = np.asarray(
-                self.space.cost_model.subtree_cost(node, assignment),
-                dtype=float,
-            )
-        self._spill_cache[key] = profile
-        while len(self._spill_cache) > self._spill_cache_cap:
-            self._spill_cache.popitem(last=False)
-        return profile
+            if profile is not None:
+                return profile
+        dim = self.space.query.epp_index(epp)
+        assignment = dict(self._truth)
+        assignment[epp] = self.space.grid.values[dim]
+        return np.asarray(
+            self.space.cost_model.subtree_cost(node, assignment),
+            dtype=float,
+        )

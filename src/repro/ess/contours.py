@@ -11,7 +11,9 @@ of contour plans a complete search procedure.
 
 The *effective* contour (used after some selectivities are exactly
 learnt) is the frontier of the cost surface restricted to the subspace
-where learnt dimensions are pinned to their discovered values.
+where learnt dimensions are pinned to their discovered values. One pass
+over a pinned slice finds its frontier cells on every contour at once
+(:func:`_contour_levels`).
 """
 
 import itertools
@@ -21,13 +23,7 @@ import operator
 import numpy as np
 
 from repro.common.errors import DiscoveryError
-from repro.common.lru import BoundedCache
-
-#: Slices kept per contour set. A benchmark sweep round reads at most
-#: 5,295 distinct slices of one contour set (4D_Q91 at resolution 5;
-#: AlignedBound re-reads nearly every slice SpillBound computed), and a
-#: smaller LRU loses nearly all of those hits.
-SLICE_CACHE_SLOTS = 8192
+from repro.common.lru import MEMO_ROWS, BoundedCache
 
 
 class ContourSlice:
@@ -72,7 +68,10 @@ class ContourSet:
         self._radix = list(itertools.accumulate(
             (n + 1 for n in space.grid.shape[:-1]), operator.mul,
             initial=1))
-        self._slice_cache = BoundedCache(SLICE_CACHE_SLOTS)
+        #: :meth:`pin_key` -> that pin's :meth:`_band`. Every pin a
+        #: step choice asks about keys a memo row, so the memo's bound
+        #: covers them.
+        self._bands = BoundedCache(MEMO_ROWS)
 
     def __len__(self):
         return len(self.costs)
@@ -93,48 +92,43 @@ class ContourSet:
         """Contour ``i`` restricted to pinned dimensions.
 
         ``fixed`` maps dimension -> grid index for exactly-learnt epps.
-        Results are kept in a :class:`BoundedCache` of
-        :data:`SLICE_CACHE_SLOTS` slices, keyed by contour and
-        :meth:`pin_key`.
+        The members are read off the pin's band, computed once per
+        :meth:`pin_key` and kept in a :class:`BoundedCache` of
+        :data:`~repro.common.lru.MEMO_ROWS` bands.
         """
         fixed = fixed or {}
-        key = self.pin_key(fixed) * len(self.costs) + i
-        slice_ = self._slice_cache.get(key)
-        if slice_ is None:
-            slice_ = self._slice_cache.setdefault(
-                key, self._compute_members(i, fixed))
-        return slice_
+        key = self.pin_key(fixed)
+        band = self._bands.get(key)
+        if band is None:
+            band = self._bands.setdefault(key, self._band(fixed))
+        coords, plan_ids, lower, upper = band
+        on = (lower <= i) & (upper > i)
+        return ContourSlice(coords[on].astype(np.int64),
+                            plan_ids[on].astype(np.int64))
 
-    def _compute_members(self, i, fixed):
+    def _band(self, fixed):
+        """Every contour's members in the slice pinned at ``fixed``.
+
+        The cells on some contour (:func:`_contour_levels`), in C
+        order, as ``(coords, plan_ids, lower, upper)`` with full-space
+        coords, in the smallest integer types that hold them.
+        """
         space = self.space
         dims = space.grid.dims
-        cc = self.costs[i]
+        # Pinned axes keep size 1: they have no +1 neighbour, and a
+        # cell's index in the slice plus the pin is its coordinate.
         slicer = tuple(
-            fixed[d] if d in fixed else slice(None) for d in range(dims)
+            slice(fixed[d], fixed[d] + 1) if d in fixed else slice(None)
+            for d in range(dims)
         )
-        reduced = space.opt_cost[slicer]
-        if reduced.ndim == 0:
-            # Every dimension pinned: the single point is the frontier
-            # iff it fits the budget.
-            if float(reduced) <= cc:
-                coords = np.array(
-                    [[fixed[d] for d in range(dims)]], dtype=np.int64
-                )
-            else:
-                coords = np.empty((0, dims), dtype=np.int64)
-            plan_ids = space.plan_at[slicer].reshape(-1)[: len(coords)]
-            return ContourSlice(coords, plan_ids)
-
-        mask = _frontier_mask(reduced, cc)
-        reduced_coords = np.argwhere(mask)
-        coords = np.empty((reduced_coords.shape[0], dims), dtype=np.int64)
-        free_dims = [d for d in range(dims) if d not in fixed]
-        for axis, d in enumerate(free_dims):
-            coords[:, d] = reduced_coords[:, axis]
-        for d, idx in fixed.items():
-            coords[:, d] = idx
-        plan_ids = space.plan_at[tuple(coords.T)].astype(np.int64)
-        return ContourSlice(coords, plan_ids)
+        lower, upper = _contour_levels(space.opt_cost[slicer], self.costs)
+        flat = np.flatnonzero(lower < upper)
+        coords = np.transpose(np.unravel_index(flat, lower.shape)) + [
+            fixed.get(d, 0) for d in range(dims)]
+        small = np.min_scalar_type(max(len(self.costs), *space.grid.shape))
+        return (coords.astype(small), space.plan_at[slicer].ravel()[flat],
+                lower.ravel()[flat].astype(small),
+                upper.ravel()[flat].astype(small))
 
     # ------------------------------------------------------------------
 
@@ -183,24 +177,23 @@ def _contour_costs(c_min, c_max, ratio):
     return costs
 
 
-def _frontier_mask(cost_array, cc):
-    """Boolean staircase-frontier mask of ``{q : cost(q) <= cc}``."""
-    below = cost_array <= cc
-    exceed = np.zeros_like(below)
-    ndim = cost_array.ndim
-    for axis in range(ndim):
-        current = [slice(None)] * ndim
-        nxt = [slice(None)] * ndim
-        current[axis] = slice(0, -1)
-        nxt[axis] = slice(1, None)
-        shifted = np.zeros_like(below)
-        shifted[tuple(current)] = cost_array[tuple(nxt)] > cc
-        exceed |= shifted
-    mask = below & exceed
-    # The reduced-space terminus has no dominating neighbour; by PCM it
-    # fits under cc only when the whole slice does, in which case it *is*
-    # the frontier.
-    terminus = tuple(s - 1 for s in cost_array.shape)
-    if below[terminus]:
-        mask[terminus] = True
-    return mask
+def _contour_levels(cost_array, costs):
+    """Per cell of ``cost_array``, the range of contours of the ladder
+    ``costs`` whose staircase frontier holds it.
+
+    ``lower`` is the first contour whose cost covers the cell and
+    ``upper`` the largest ``lower`` of its +1 neighbours; an axis past
+    the edge adds nothing, and every contour fits at the terminus. A
+    cell is on contour ``i`` exactly when ``lower <= i < upper``: it fits
+    ``CC_i`` while a step up overshoots it, or it is the terminus and
+    the whole array fits. ``searchsorted`` decides ``lower <= i`` by the
+    same float comparison as ``cost <= CC_i``.
+    """
+    lower = np.searchsorted(costs, cost_array, side="left")
+    upper = np.zeros_like(lower)
+    for axis in range(lower.ndim):
+        head = (slice(None),) * axis
+        inner = upper[head + (slice(0, -1),)]
+        np.maximum(inner, lower[head + (slice(1, None),)], out=inner)
+    upper[(-1,) * lower.ndim] = len(costs)
+    return lower, upper

@@ -409,8 +409,8 @@ class ExplorationSpace:
     def spill_profile(self, plan_info, epp, node, qa_index):
         """Spill-mode subtree cost profile along ``epp``'s dimension.
 
-        A 1-D slice of the kernel's whole-grid subtree tensor at the
-        truth's coordinates -- bitwise what the engine's legacy per-truth
+        A 1-D slice of the kernel's subtree surface at the truth's
+        coordinates -- bitwise what the engine's legacy per-truth
         evaluation produced, computed once per (plan, node) instead of
         once per hidden location. Returns ``None`` when the kernel is
         disabled, telling the engine to fall back to its own path.

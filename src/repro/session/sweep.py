@@ -234,9 +234,10 @@ class SweepDriver:
         """Cross-unit reuse counters of the session's artifact cache.
 
         Sweep units sharing a query share one space (and therefore one
-        probe table and one subtree-tensor cache) and one contour set per
-        ratio (one contour-slice cache). These counters say how many
-        space and contour lookups that sharing served without a build.
+        probe table and one subtree-surface cache) and one contour set per
+        ratio (one pin table of contour bands). These counters say how
+        many space and contour lookups that sharing served without a
+        build.
         """
         return session_reuse_summary(self.session)
 

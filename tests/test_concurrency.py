@@ -164,7 +164,7 @@ class TestSharedInstanceHammer:
                   for name in self.ALGORITHMS for qa in truths}
 
         surface = space.grid.size * 8
-        monkeypatch.setattr(contour_module, "SLICE_CACHE_SLOTS", 8)
+        monkeypatch.setattr(contour_module, "MEMO_ROWS", 8)
         monkeypatch.setattr(kernel, "SUBTREE_SURFACE_BYTES", 2 * surface)
         monkeypatch.setattr(base, "MEMO_ROWS", 4)
         session = RobustSession()
@@ -191,7 +191,7 @@ class TestSharedInstanceHammer:
             merged.update(part)
         assert merged == serial
         # Every cache stayed within its budget while it evicted.
-        assert len(contours._slice_cache) == 8
+        assert len(contours._bands) == 8
         assert space.kernel._subtrees.held <= 2 * surface
         for instance in shared:
             assert len(instance._choices) == 4

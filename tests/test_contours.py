@@ -1,10 +1,67 @@
 """Tests for iso-cost contours: the geometric heart of all guarantees."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.common.errors import DiscoveryError
-from repro.ess.contours import ContourSet, _contour_costs, _frontier_mask
+from repro.ess.contours import ContourSet, _contour_costs, _contour_levels
+from repro.harness.workloads import JOB_SUITE, PAPER_SUITE
+from repro.session import RobustSession
+
+
+def _frontier_mask(cost_array, cc):
+    """Reference: boolean staircase-frontier mask of ``{q : cost(q) <=
+    cc}``, one contour cost at a time."""
+    below = cost_array <= cc
+    exceed = np.zeros_like(below)
+    ndim = cost_array.ndim
+    for axis in range(ndim):
+        current = [slice(None)] * ndim
+        nxt = [slice(None)] * ndim
+        current[axis] = slice(0, -1)
+        nxt[axis] = slice(1, None)
+        shifted = np.zeros_like(below)
+        shifted[tuple(current)] = cost_array[tuple(nxt)] > cc
+        exceed |= shifted
+    mask = below & exceed
+    # The reduced-space terminus has no dominating neighbour; by PCM it
+    # fits under cc only when the whole slice does, in which case it *is*
+    # the frontier.
+    terminus = tuple(s - 1 for s in cost_array.shape)
+    if below[terminus]:
+        mask[terminus] = True
+    return mask
+
+
+def _reference_members(contours, i, fixed):
+    """Reference: contour ``i`` of the slice pinned at ``fixed`` as
+    ``(coords, plan_ids)``, from :func:`_frontier_mask`."""
+    space = contours.space
+    dims = space.grid.dims
+    slicer = tuple(fixed.get(d, slice(None)) for d in range(dims))
+    reduced = space.opt_cost[slicer]
+    if reduced.ndim == 0:
+        # Every dimension pinned: the point is the frontier iff it fits.
+        fits = float(reduced) <= contours.cost(i)
+        coords = np.array([[fixed[d] for d in range(dims)]] if fits else
+                          np.empty((0, dims)), dtype=np.int64)
+    else:
+        reduced_coords = np.argwhere(_frontier_mask(reduced,
+                                                    contours.cost(i)))
+        coords = np.empty((reduced_coords.shape[0], dims), dtype=np.int64)
+        free_dims = [d for d in range(dims) if d not in fixed]
+        coords[:, free_dims] = reduced_coords
+        for d, index in fixed.items():
+            coords[:, d] = index
+    return coords, space.plan_at[tuple(coords.T)].astype(np.int64)
+
+
+def _mask(cost, cc):
+    """The contour-``0`` mask of a one-rung ladder ``[cc]``."""
+    lower, upper = _contour_levels(cost, [cc])
+    return (lower <= 0) & (upper > 0)
 
 
 class TestContourCosts:
@@ -99,7 +156,7 @@ class TestFrontierMask:
             [2.0, 4.0, 9.5],
             [9.0, 9.5, 10.0],
         ])
-        mask = _frontier_mask(cost, 4.0)
+        mask = _mask(cost, 4.0)
         assert mask[1, 1]           # 4 <= 4, both neighbours exceed
         assert mask[0, 1]           # right neighbour exceeds
         assert not mask[0, 0]       # interior to the hypograph
@@ -107,7 +164,7 @@ class TestFrontierMask:
 
     def test_terminus_included_when_whole_slice_fits(self):
         cost = np.array([[1.0, 2.0], [2.0, 3.0]])
-        mask = _frontier_mask(cost, 10.0)
+        mask = _mask(cost, 10.0)
         assert mask[1, 1]
         assert mask.sum() == 1
 
@@ -137,11 +194,42 @@ class TestEffectiveContours:
         if toy_space.optimal_cost(index) > contours.cost(0):
             assert below.is_empty
 
-    def test_cache_returns_same_object(self, toy_space):
-        contours = ContourSet(toy_space)
-        a = contours.members(1)
-        b = contours.members(1)
-        assert a is b
+
+def _pins(shape, rng):
+    """The unpinned space, every one-dim pin, one random pin per pair of
+    dims and one all-dims pin."""
+    dims = len(shape)
+    yield {}
+    for d in range(dims):
+        for index in range(shape[d]):
+            yield {d: index}
+    for a, b in itertools.combinations(range(dims), 2):
+        yield {a: int(rng.integers(shape[a])), b: int(rng.integers(shape[b]))}
+    yield {d: int(rng.integers(shape[d])) for d in range(dims)}
+
+
+class TestBandsMatchFrontierMask:
+    """Each pin's band gives, on every contour, the coords and plan ids
+    the per-contour frontier mask gives, in the same order."""
+
+    @pytest.mark.parametrize("name", PAPER_SUITE + JOB_SUITE)
+    def test_every_contour_of_every_pin(self, name):
+        session = RobustSession(resolution=4)
+        space, contours = session.space_and_contours(name)
+        rng = np.random.default_rng(0)
+        checked = 0
+        for fixed in _pins(space.grid.shape, rng):
+            for i in range(len(contours)):
+                members = contours.members(i, fixed=fixed)
+                coords, plan_ids = _reference_members(contours, i, fixed)
+                assert members.coords.dtype == np.int64
+                assert members.plan_ids.dtype == np.int64
+                assert np.array_equal(members.coords, coords), (fixed, i)
+                assert np.array_equal(members.plan_ids, plan_ids), (fixed, i)
+                checked += 1
+        dims = space.grid.dims
+        assert checked == len(contours) * (
+            2 + sum(space.grid.shape) + dims * (dims - 1) // 2)
 
 
 class TestContourOf:

@@ -76,52 +76,6 @@ class TestSpillExecution:
         profile = engine._subtree_profile(plan, epp, node)
         assert np.all(np.diff(profile) > 0)
 
-    def test_profile_cached(self, toy_space):
-        engine = SimulatedEngine(toy_space, (3, 3))
-        plan, (epp, node) = self._spill_parts(toy_space, (3, 3))
-        a = engine._subtree_profile(plan, epp, node)
-        b = engine._subtree_profile(plan, epp, node)
-        assert a is b
-
-    def _distinct_spill_parts(self, toy_space, count):
-        parts = []
-        seen = set()
-        epps = set(toy_space.query.epps)
-        for plan in toy_space.plans:
-            target = plan.spill_target(epps)
-            if target is None:
-                continue
-            epp, node = target
-            key = (plan.id, epp, node.node_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            parts.append((plan, epp, node))
-            if len(parts) == count:
-                break
-        return parts
-
-    def test_spill_cache_bounded(self, toy_space):
-        engine = SimulatedEngine(toy_space, (3, 3), spill_cache_cap=2)
-        parts = self._distinct_spill_parts(toy_space, 4)
-        assert len(parts) >= 3
-        for plan, epp, node in parts:
-            engine._subtree_profile(plan, epp, node)
-            assert len(engine._spill_cache) <= 2
-
-    def test_spill_cache_evicts_least_recently_used(self, toy_space):
-        engine = SimulatedEngine(toy_space, (3, 3), spill_cache_cap=2)
-        parts = self._distinct_spill_parts(toy_space, 3)
-        assert len(parts) == 3
-        first = engine._subtree_profile(*parts[0])
-        engine._subtree_profile(*parts[1])
-        # Touch the first entry so the *second* becomes the LRU victim.
-        assert engine._subtree_profile(*parts[0]) is first
-        engine._subtree_profile(*parts[2])
-        assert engine._subtree_profile(*parts[0]) is first
-        assert (parts[1][0].id, parts[1][1], parts[1][2].node_id) \
-            not in engine._spill_cache
-
     def test_spill_cheaper_than_full(self, toy_space):
         """Subtree cost never exceeds the full plan cost (spilling only
         discards downstream work)."""

@@ -23,7 +23,7 @@ from repro.ess.space import (
     seed_indices,
 )
 from repro.ess.synthetic import textbook_space
-from repro.harness.workloads import q15, workload
+from repro.harness.workloads import JOB_SUITE, PAPER_SUITE, q15, workload
 from repro.optimizer.dp import Optimizer
 from repro.session.session import RobustSession
 from repro.session.sweep import SweepDriver
@@ -114,6 +114,32 @@ def test_synthetic_spill_profile_matches_cost_model():
                         dtype=float)
     fast = space.spill_profile(info, epp, node, qa)
     assert np.array_equal(legacy, fast)
+
+
+@pytest.mark.parametrize("name", PAPER_SUITE + JOB_SUITE)
+def test_subtree_surfaces_at_own_dimensionality(name):
+    """A spill subtree's surface spans only the axes of the epps in its
+    subtree: broadcast to the grid it is byte-equal to the full-mesh
+    evaluation, and it varies along its spilled epp's axis, so a spill
+    profile never meets a size-1 spill axis."""
+    space, _ = RobustSession(resolution=4).space_and_contours(name)
+    kernel = space.kernel
+    full_mesh = dict(zip(kernel.epps, space.grid.meshes()))
+    checked = 0
+    for info in space.plans:
+        for epp, node, subtree_epps in info.spill_order:
+            dim = space.query.epp_index(epp)
+            surface = kernel.subtree_surface(info.id, node)
+            full = np.asarray(space.cost_model.subtree_cost(node, full_mesh),
+                              dtype=float)
+            assert surface.shape == tuple(
+                n if e in subtree_epps else 1
+                for e, n in zip(kernel.epps, space.grid.shape))
+            assert (np.broadcast_to(surface, space.grid.shape).tobytes()
+                    == full.tobytes())
+            assert np.any(np.diff(surface, axis=dim) != 0)
+            checked += 1
+    assert checked > 0
 
 
 # ----------------------------------------------------------------------
